@@ -1,6 +1,7 @@
 """Joint diagonalisation of symmetric matrix sets by Givens-rotation
 sweeps, with deviations, average-graph reconstruction, eigenvector
-centrality, and a self-contained cyclic-Jacobi symmetric eigensolver.
+centrality, and a symmetric eigensolver (LAPACK ``eigh``) with a fixed
+order and sign convention.
 
 The joint diagonaliser finds one orthogonal basis U that makes a whole
 set of symmetric matrices H_1..H_M as diagonal as possible, minimising
@@ -47,7 +48,7 @@ class OrthoBasis:
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {u.shape}")
         err = float(np.abs(u.T @ u - np.eye(u.shape[0])).max())
-        if err > tol:
+        if not err <= tol:  # NaN fails too
             raise ValueError(f"basis is not orthogonal: max |U^T U - I| = {err:.3e}")
         u.setflags(write=False)
         self._u = u
@@ -139,8 +140,9 @@ def project(h, basis: OrthoBasis) -> SymMatrix:
 
 
 def _as_stack(matrices) -> np.ndarray:
+    # every branch builds a fresh float stack, which the caller may overwrite
     if hasattr(matrices, "matrices"):  # SampleBatch
-        stack = matrices.matrices().astype(float)
+        stack = matrices.matrices()
     else:
         mats = [np.asarray(m, dtype=float) for m in matrices]
         if not mats:
@@ -254,11 +256,14 @@ def joint_diagonalise(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    c = _as_stack(matrices).copy()
+    c = _as_stack(matrices)
     m_count, n, _ = c.shape
 
-    in_traces = np.einsum("mii->m", c).copy()
-    in_fro2 = (c * c).sum(axis=(1, 2)).copy()
+    in_traces = np.einsum("mii->m", c)
+    with np.errstate(over="ignore"):
+        in_fro2 = (c * c).sum(axis=(1, 2))
+    if not math.isfinite(float(in_fro2.sum())):
+        raise ValueError("squared Frobenius norms of the input overflow; rescale the matrices")
 
     initial = float(_off2_by_matrix(c).sum())
     history = [initial]
@@ -323,7 +328,7 @@ def joint_diagonalise(
             if rotations == 0:
                 converged = True
                 break
-            if float(np.abs(u.T @ u - np.eye(n)).max()) > 1e-10:
+            if not float(np.abs(u.T @ u - np.eye(n)).max()) <= 1e-10:
                 raise ConvergenceError("basis lost orthogonality during sweeps")
             current = float(_off2_by_matrix(c).sum())
             history.append(current)
@@ -334,10 +339,11 @@ def joint_diagonalise(
     # similarity sanity: orthogonal conjugation preserves traces and norms
     out_traces = np.einsum("mii->m", c)
     out_fro2 = (c * c).sum(axis=(1, 2))
+    # written as "not within bound" so that a NaN drift fails them too
     scale = 1.0 + np.abs(in_traces)
-    if np.abs(out_traces - in_traces).max(initial=0.0) > 1e-8 * scale.max():
+    if not np.abs(out_traces - in_traces).max(initial=0.0) <= 1e-8 * scale.max():
         raise ConvergenceError("trace drifted during joint diagonalisation")
-    if np.abs(out_fro2 - in_fro2).max(initial=0.0) > 1e-8 * (1.0 + in_fro2.max()):
+    if not np.abs(out_fro2 - in_fro2).max(initial=0.0) <= 1e-8 * (1.0 + in_fro2.max()):
         raise ConvergenceError("Frobenius norm drifted during joint diagonalisation")
 
     diags = np.einsum("mii->mi", c)
@@ -371,60 +377,27 @@ def reconstruct_average(result: JdResult, force: bool = False) -> SymMatrix:
     return SymMatrix.symmetrised((u * result.avg_diag) @ u.T)
 
 
-def eig_sym(m, max_sweeps: int = 60) -> tuple[np.ndarray, OrthoBasis]:
-    """Full spectral decomposition of a symmetric matrix by cyclic Jacobi
-    rotations.
+def eig_sym(m) -> tuple[np.ndarray, OrthoBasis]:
+    """Full spectral decomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns eigenvalues sorted descending and the matching orthonormal
-    eigenvector basis (one eigenvector per column).
+    eigenvector basis (one eigenvector per column), each column signed so
+    its first entry above 1e-12 in magnitude is positive.
     """
-    a = np.array(np.asarray(m), dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a[0, :1].copy(), OrthoBasis(v)
-    fro = math.sqrt(float((a * a).sum()))
-    thresh = 1e-13 * max(fro, np.finfo(float).tiny)
-
-    for _ in range(max_sweeps):
-        rotations = 0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                cos_t = 1.0 / math.sqrt(1.0 + t * t)
-                sin_t = t * cos_t
-                row_p = a[p, :].copy()
-                row_q = a[q, :]
-                a[p, :] = cos_t * row_p - sin_t * row_q
-                a[q, :] = sin_t * row_p + cos_t * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q]
-                a[:, p] = cos_t * col_p - sin_t * col_q
-                a[:, q] = sin_t * col_p + cos_t * col_q
-                a[p, q] = a[q, p] = 0.0
-                v_p = v[:, p].copy()
-                v[:, p] = cos_t * v_p - sin_t * v[:, q]
-                v[:, q] = sin_t * v_p + cos_t * v[:, q]
-                rotations += 1
-        if rotations == 0:
-            break
-    else:
-        raise ConvergenceError(f"Jacobi eigensolver did not settle in {max_sweeps} sweeps")
-
-    eigvals = np.diag(a).copy()
+    try:
+        eigvals, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
     v = v[:, order]
     first_nonzero = np.argmax(np.abs(v) > 1e-12, axis=0)
-    signs = np.where(v[first_nonzero, np.arange(n)] < 0, -1.0, 1.0)
+    signs = np.where(v[first_nonzero, np.arange(len(order))] < 0, -1.0, 1.0)
     return eigvals, OrthoBasis(v * signs)
 
 

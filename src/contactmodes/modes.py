@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConvergenceError, DataError
 from .jointdiag import JdResult, joint_diagonalise, reconstruct_average
@@ -186,7 +185,8 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
     stops on its own convergence test; a stopped restart is frozen while
     the others go on.  Returns ``(weights, means, variances, resp, ll)``
     with a leading restart axis; ``resp`` (shape (R, k, M)) is each
-    restart's last E-step.
+    restart's last E-step, made on the returned parameters: a restart
+    that reaches ``max_iter`` M-steps gets one more E-step to match.
     """
     m = len(x)
     r_count = len(seeds)
@@ -213,7 +213,7 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
     ll = np.full(r_count, -math.inf)
     resp = np.empty((r_count, k, m))
     active = np.arange(r_count)
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         lp = _log_joint(x, weights[active], means[active], variances[active])
         norm = _log_norm(lp)
         new_ll = norm.sum(axis=1)
@@ -223,7 +223,7 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
             raise ConvergenceError("EM log-likelihood decreased")
         ll[active] = new_ll
         active = active[~(new_ll - old_ll < tol * (1.0 + np.abs(new_ll)))]
-        if len(active) == 0:
+        if len(active) == 0 or it == max_iter:
             break
         ra = resp[active]
         nk = np.maximum(ra.sum(axis=2), 1e-300)
@@ -444,7 +444,6 @@ def per_mode_reconstruction(
         raise ValueError("precomputed overall result does not match the batch")
     overall_matrix = reconstruct_average(overall)
 
-    stack = batch.matrices()
     summaries = []
     for j in range(model.k):
         members = model.members(j)
@@ -455,7 +454,7 @@ def per_mode_reconstruction(
             matrix = batch.samples[members[0]].matrix
             summaries.append(ModeSummary(index=j, members=members, matrix=matrix, single_sample=True, result=None))
             continue
-        sub = joint_diagonalise(stack[members], tol=tol, max_sweeps=max_sweeps)
+        sub = joint_diagonalise(batch.subset(members), tol=tol, max_sweeps=max_sweeps)
         summaries.append(
             ModeSummary(
                 index=j,
@@ -634,6 +633,9 @@ def gamma_moment_fit(values) -> tuple[float, float]:
 
 def gamma_ks(values) -> GammaFit:
     """Moment-fit a gamma distribution and test it with Kolmogorov-Smirnov."""
+    # scipy.stats takes about a second to import; only this function needs it
+    from scipy import stats
+
     x = np.asarray(values, dtype=float).ravel()
     shape, scale = gamma_moment_fit(x)
     res = stats.kstest(x, lambda t: stats.gamma.cdf(t, a=shape, scale=scale))

@@ -19,6 +19,7 @@ from contactmodes import (
 )
 from contactmodes import jointdiag as jd_mod
 from contactmodes.jointdiag import JdResult, OrthoBasis
+from contactmodes.sampling import SampleBatch, TreeSample
 from oracles import brute_off2, brute_project
 
 
@@ -210,6 +211,57 @@ def test_jd_input_validation():
         joint_diagonalise([SymMatrix.zeros(3), SymMatrix.zeros(4)])
 
 
+def test_jd_rejects_overflowing_input():
+    # finite entries whose squares overflow: a data error, never a
+    # converged result with inf deviations
+    rng = derive_rng(8, "jd")
+    a = rng.standard_normal((5, 6, 6))
+    a = a + a.transpose(0, 2, 1)
+    with pytest.raises(ValueError, match="overflow"):
+        joint_diagonalise(a * 1e200)
+
+
+def test_jd_non_finite_drift_fails(monkeypatch):
+    # a NaN that enters the stack mid-sweep must fail the drift checks
+    rotate = jd_mod._rotate_chunk
+
+    def poisoned(c, *args):
+        rotate(c, *args)
+        c[0, 0, 1] = np.nan
+
+    monkeypatch.setattr(jd_mod, "_rotate_chunk", poisoned)
+    rng = derive_rng(9, "jd")
+    mats = [SymMatrix.symmetrised(rng.standard_normal((6, 6))) for _ in range(5)]
+    with pytest.raises(ConvergenceError, match="drifted"):
+        joint_diagonalise(mats)
+
+
+def test_jd_leaves_its_input_unchanged():
+    rng = derive_rng(10, "jd")
+    stack = rng.standard_normal((6, 5, 5))
+    stack = stack + stack.transpose(0, 2, 1)
+    before = stack.copy()
+    joint_diagonalise(stack)
+    assert np.array_equal(stack, before)
+    edges = [(1, 0), (2, 1), (3, 1), (4, 3)]
+    samples = []
+    for shift in range(4):
+        parent = {(c + shift) % 5: (p + shift) % 5 for c, p in edges}
+        a = np.zeros((5, 5))
+        for c, p in parent.items():
+            a[c, p] = a[p, c] = 1.0
+        samples.append(TreeSample(shift, 0.0, parent, frozenset(range(5)), SymMatrix(a)))
+    batch = SampleBatch(tuple(samples), n_nodes=5, seed=0)
+    before = batch.matrices()
+    joint_diagonalise(batch)
+    assert np.array_equal(batch.matrices(), before)
+
+
+def test_ortho_basis_rejects_non_finite():
+    with pytest.raises(ValueError, match="not orthogonal"):
+        OrthoBasis(np.full((3, 3), np.nan))
+
+
 def test_jd_result_json_round_trip(tmp_path):
     rng = derive_rng(5, "jd")
     mats, _ = _commuting_family(4, 5, rng)
@@ -240,7 +292,7 @@ def test_reconstruct_average_formula():
 # eig_sym / centrality
 
 
-@given(st.integers(2, 12), st.integers(0, 10_000))
+@given(st.integers(1, 12), st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_eig_sym_matches_lapack(n, seed):
     rng = np.random.default_rng(seed)
@@ -258,12 +310,35 @@ def test_eig_sym_matches_lapack(n, seed):
 
 
 def test_eig_sym_sign_convention():
-    m = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-    _, basis = eig_sym(m)
-    for j in range(2):
-        col = basis.values[:, j]
-        nz = col[np.abs(col) > 1e-12]
-        assert nz[0] > 0
+    # distinct eigenvalues, then a fourfold repeated one
+    for m in (np.array([[2.0, 1.0], [1.0, 2.0]]), np.ones((5, 5))):
+        vals, basis = eig_sym(SymMatrix(m))
+        u = basis.values
+        for j in range(len(m)):
+            col = u[:, j]
+            nz = col[np.abs(col) > 1e-12]
+            assert nz[0] > 0
+        assert np.all(np.diff(vals) <= 1e-12)
+        assert np.abs(u.T @ u - np.eye(len(m))).max() <= 1e-10
+        assert np.abs(m @ u - u * vals).max() <= 1e-12
+
+
+def test_eig_sym_failure_is_a_convergence_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError):
+        eig_sym(np.eye(3))
+    # the joint diagonaliser then starts from the identity: with no sweep
+    # allowed, the history holds only the input's off2 and the basis is a
+    # signed permutation of the identity
+    rng = derive_rng(11, "jd")
+    mats = [SymMatrix.symmetrised(rng.standard_normal((4, 4))) for _ in range(3)]
+    res = joint_diagonalise(mats, max_sweeps=0)
+    assert len(res.off2_history) == 1
+    assert np.array_equal(np.abs(res.basis.values) @ np.ones(4), np.ones(4))
+    assert np.array_equal(np.abs(res.basis.values).sum(axis=0), np.ones(4))
 
 
 def test_eigenvector_centrality_principal_direction():

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import contactmodes
 from contactmodes import (
     ConvergenceError,
     DataError,
@@ -78,6 +83,23 @@ def test_fit_gmm_recovers_separated_clusters():
     sizes = sorted(np.bincount(model.assignments).tolist())
     assert sizes == [50, 150]
     assert np.allclose(model.responsibilities.sum(axis=1), 1.0)
+
+
+def test_fit_gmm_stopped_at_max_iter_reports_its_own_likelihood():
+    # a restart cut off by max_iter must report the likelihood and the
+    # posterior of the parameters it returns, not of the ones before its
+    # last M-step
+    rng = derive_rng(0, "gmm-stale")
+    x = np.concatenate([rng.normal(0.0, 1.0, 300), rng.normal(3.0, 1.5, 200)])
+    model = fit_gmm_1d(x, k=2, seed=0, max_iter=3, tol=0.0)
+    logp = np.stack(
+        [math.log(c.weight) + stats.norm.logpdf(x, loc=c.mean, scale=math.sqrt(c.variance)) for c in model.components]
+    )
+    ll = float(np.logaddexp.reduce(logp, axis=0).sum())
+    assert model.log_likelihood == pytest.approx(ll, rel=1e-12)
+    assert model.bic == pytest.approx(5 * math.log(len(x)) - 2 * ll, rel=1e-12)
+    assert np.allclose(model.responsibilities, np.exp(logp - np.logaddexp.reduce(logp, axis=0)).T, atol=1e-12)
+    assert np.array_equal(model.assignments, logp.argmax(axis=0))
 
 
 def test_fit_gmm_validation():
@@ -266,6 +288,15 @@ def test_per_mode_reconstruction_single_sample_mode():
     assert lone[0].single_sample
     assert lone[0].result is None
     assert np.array_equal(lone[0].matrix.values, batch.samples[12].matrix.values)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import and only gamma_ks needs it
+    src = str(Path(contactmodes.__file__).resolve().parent.parent)
+    code = "import sys, contactmodes; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_per_mode_reconstruction_rejects_mismatched_model():
