@@ -145,11 +145,11 @@ def _as_stack(matrices) -> np.ndarray:
         stack = matrices.matrices()
     else:
         mats = [np.asarray(m, dtype=float) for m in matrices]
-        if not mats:
-            raise ValueError("need at least one matrix")
-        stack = np.stack(mats)
+        stack = np.stack(mats) if mats else np.zeros((0, 0, 0))
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
+    if len(stack) == 0:
+        raise ValueError("need at least one matrix")
     if not np.all(np.isfinite(stack)):
         raise ValueError("matrix entries must be finite")
     return stack

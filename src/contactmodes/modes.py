@@ -451,7 +451,7 @@ def per_mode_reconstruction(
             warnings.warn(f"mode {j} is empty and was dropped", stacklevel=2)
             continue
         if len(members) == 1:
-            matrix = batch.samples[members[0]].matrix
+            matrix = SymMatrix(batch.subset(members).matrices()[0])
             summaries.append(ModeSummary(index=j, members=members, matrix=matrix, single_sample=True, result=None))
             continue
         sub = joint_diagonalise(batch.subset(members), tol=tol, max_sweeps=max_sweeps)

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import BatchFormatError
-from .network import StaticGraph, SymMatrix, TemporalNetwork
+from .network import StaticGraph, TemporalNetwork
 from .seeds import derive_rng
 
 BATCH_MAGIC = "#contactmodes-batch v1"
@@ -31,10 +31,12 @@ class SourceInfo:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TreeSample:
-    """One spanning tree: parent map rooted at ``root`` plus its 0/1 matrix.
+    """One spanning tree, stored as its parent map rooted at ``root``.
 
+    The parent map holds the tree's n-1 edges (child -> parent); the
+    dense 0/1 matrix is built only on demand, by ``SampleBatch.matrices``.
     ``partial`` marks trees that did not reach every node (disconnected
     static graphs, temporal dead ends).  ``infection_times`` records when
     each reached node first held the message (temporal trees only).
@@ -43,13 +45,15 @@ class TreeSample:
     root: int
     start_time: float
     parent: Mapping[int, int]
-    reached: frozenset[int]
-    matrix: SymMatrix
     partial: bool = False
     infection_times: Mapping[int, float] | None = None
 
+    @property
+    def reached(self) -> frozenset[int]:
+        return frozenset(self.parent).union((self.root,))
+
     def uses_edge(self, i: int, j: int) -> bool:
-        return self.matrix[i, j] != 0
+        return self.parent.get(i) == j or self.parent.get(j) == i
 
     @property
     def n_edges(self) -> int:
@@ -67,15 +71,24 @@ class SampleBatch:
 
     def __post_init__(self):
         for s in self.samples:
-            if s.matrix.n != self.n_nodes:
-                raise ValueError("all samples must share the batch node count")
+            nodes = (s.root, *s.parent, *s.parent.values())
+            if min(nodes) < 0 or max(nodes) >= self.n_nodes:
+                raise ValueError(f"tree rooted at {s.root} names a node outside [0, {self.n_nodes})")
 
     def __len__(self) -> int:
         return len(self.samples)
 
     def matrices(self) -> np.ndarray:
-        """Stack of sample matrices, shape (M, n, n)."""
-        return np.stack([s.matrix.values for s in self.samples])
+        """Dense 0/1 tree matrices, shape (M, n, n): the one place a tree
+        turns into an n x n matrix."""
+        n_edges = [len(s.parent) for s in self.samples]
+        tree = np.repeat(np.arange(len(self.samples)), n_edges)
+        child = np.fromiter((c for s in self.samples for c in s.parent), dtype=np.intp, count=len(tree))
+        par = np.fromiter((p for s in self.samples for p in s.parent.values()), dtype=np.intp, count=len(tree))
+        stack = np.zeros((len(self.samples), self.n_nodes, self.n_nodes))
+        stack[tree, child, par] = 1.0
+        stack[tree, par, child] = 1.0
+        return stack
 
     def start_times(self) -> np.ndarray:
         return np.array([s.start_time for s in self.samples])
@@ -83,13 +96,6 @@ class SampleBatch:
     def subset(self, indices: Sequence[int]) -> "SampleBatch":
         picked = tuple(self.samples[i] for i in indices)
         return replace(self, samples=picked)
-
-
-def _tree_matrix(n: int, parent: Mapping[int, int]) -> SymMatrix:
-    a = np.zeros((n, n))
-    for child, par in parent.items():
-        a[child, par] = a[par, child] = 1.0
-    return SymMatrix(a)
 
 
 def bfs_tree(g: StaticGraph, root: int, rng: np.random.Generator) -> TreeSample:
@@ -119,14 +125,11 @@ def bfs_tree(g: StaticGraph, root: int, rng: np.random.Generator) -> TreeSample:
             continue
         candidates = [u for u in g.neighbors[v] if dist[u] == dist[v] - 1]
         parent[v] = candidates[int(rng.integers(len(candidates)))] if len(candidates) > 1 else candidates[0]
-    reached = frozenset(order)
     return TreeSample(
         root=root,
         start_time=0.0,
         parent=parent,
-        reached=reached,
-        matrix=_tree_matrix(n, parent),
-        partial=len(reached) < n,
+        partial=len(order) < n,
     )
 
 
@@ -188,14 +191,11 @@ def flood_tree(
             times[receiver] = float(t)
         i = j
 
-    reached = frozenset(times)
     return TreeSample(
         root=root,
         start_time=start,
         parent=parent,
-        reached=reached,
-        matrix=_tree_matrix(n, parent),
-        partial=len(reached) < n,
+        partial=len(times) < n,
         infection_times=times,
     )
 
@@ -331,8 +331,6 @@ def read_batch(path: str | Path) -> SampleBatch:
                 root=root,
                 start_time=cur["start"],
                 parent=parent,
-                reached=frozenset(reached),
-                matrix=_tree_matrix(n_nodes, parent),
                 partial=cur["partial"],
             )
         )

@@ -122,6 +122,18 @@ def is_forest(n: int, edges) -> bool:
     return True
 
 
+def tree_adjacency(n: int, parent) -> np.ndarray:
+    """Dense 0/1 adjacency of a tree given as a child -> parent map,
+    filled entry by entry from its set of undirected edges."""
+    edges = {frozenset(edge) for edge in parent.items()}
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j and frozenset((i, j)) in edges:
+                out[i, j] = 1.0
+    return out
+
+
 def merge_intervals(pairs) -> list:
     """Union of possibly overlapping [start, end] intervals, merging
     abutting ones."""

@@ -12,10 +12,12 @@ from contactmodes import (
     derive_rng,
     eig_sym,
     eigenvector_centrality,
+    filter_batch,
     joint_diagonalise,
     off2,
     project,
     reconstruct_average,
+    sample_batch,
 )
 from contactmodes import jointdiag as jd_mod
 from contactmodes.jointdiag import JdResult, OrthoBasis
@@ -247,14 +249,20 @@ def test_jd_leaves_its_input_unchanged():
     samples = []
     for shift in range(4):
         parent = {(c + shift) % 5: (p + shift) % 5 for c, p in edges}
-        a = np.zeros((5, 5))
-        for c, p in parent.items():
-            a[c, p] = a[p, c] = 1.0
-        samples.append(TreeSample(shift, 0.0, parent, frozenset(range(5)), SymMatrix(a)))
+        samples.append(TreeSample(root=shift, start_time=0.0, parent=parent))
     batch = SampleBatch(tuple(samples), n_nodes=5, seed=0)
     before = batch.matrices()
     joint_diagonalise(batch)
     assert np.array_equal(batch.matrices(), before)
+
+
+def test_jd_rejects_an_empty_batch(bridged_graph):
+    batch = sample_batch(bridged_graph, 5, seed=0)
+    empty = filter_batch(batch, lambda s: 0.0, derive_rng(0, "f"))
+    assert len(empty) == 0
+    for source in (empty, [], np.zeros((0, 7, 7))):
+        with pytest.raises(ValueError, match="at least one matrix"):
+            joint_diagonalise(source)
 
 
 def test_ortho_basis_rejects_non_finite():

@@ -14,7 +14,6 @@ import contactmodes
 from contactmodes import (
     ConvergenceError,
     DataError,
-    SymMatrix,
     decompose,
     derive_rng,
     fit_gmm_1d,
@@ -30,17 +29,8 @@ from contactmodes.sampling import SampleBatch, SourceInfo, TreeSample
 from oracles import count_density_modes
 
 
-def _tree_sample(n, parent, root=0, start=0.0):
-    a = np.zeros((n, n))
-    for child, par in parent.items():
-        a[child, par] = a[par, child] = 1.0
-    return TreeSample(
-        root=root,
-        start_time=start,
-        parent=dict(parent),
-        reached=frozenset(range(n)),
-        matrix=SymMatrix(a),
-    )
+def _tree_sample(parent, root=0, start=0.0):
+    return TreeSample(root=root, start_time=start, parent=dict(parent))
 
 
 def _two_mode_batch(m0=12, m1=9, n=6):
@@ -48,8 +38,8 @@ def _two_mode_batch(m0=12, m1=9, n=6):
     near t=100: two crisply separated behavioural modes."""
     path = {i: i - 1 for i in range(1, n)}
     star = {i: 0 for i in range(1, n)}
-    samples = [_tree_sample(n, path, start=10.0 + 0.1 * i) for i in range(m0)]
-    samples += [_tree_sample(n, star, start=100.0 + 0.1 * i) for i in range(m1)]
+    samples = [_tree_sample(path, start=10.0 + 0.1 * i) for i in range(m0)]
+    samples += [_tree_sample(star, start=100.0 + 0.1 * i) for i in range(m1)]
     info = SourceInfo(kind="temporal", t_min=0.0, t_max=120.0)
     return SampleBatch(samples=tuple(samples), n_nodes=n, seed=0, source=info)
 
@@ -192,8 +182,8 @@ def test_decompose_two_crisp_modes():
     sizes = sorted(m.count for m in report.modes)
     assert sizes == [9, 12]
     # each mode's average graph is exactly its repeated tree
-    path = _tree_sample(6, {i: i - 1 for i in range(1, 6)}).matrix.values
-    star = _tree_sample(6, {i: 0 for i in range(1, 6)}).matrix.values
+    trees = batch.matrices()
+    path, star = trees[0], trees[-1]
     mats = [m.matrix.values for m in report.modes]
     assert any(np.allclose(m, path, atol=1e-8) for m in mats)
     assert any(np.allclose(m, star, atol=1e-8) for m in mats)
@@ -206,15 +196,7 @@ def test_decompose_two_crisp_modes():
 
 def _with_empty_partial_tree(batch, start=115.0):
     """The batch plus a flood that reached no node beyond its root."""
-    n = batch.n_nodes
-    empty = TreeSample(
-        root=0,
-        start_time=start,
-        parent={},
-        reached=frozenset({0}),
-        matrix=SymMatrix(np.zeros((n, n))),
-        partial=True,
-    )
+    empty = TreeSample(root=0, start_time=start, parent={}, partial=True)
     return replace(batch, samples=batch.samples + (empty,))
 
 
@@ -287,7 +269,7 @@ def test_per_mode_reconstruction_single_sample_mode():
     assert len(lone) == 1
     assert lone[0].single_sample
     assert lone[0].result is None
-    assert np.array_equal(lone[0].matrix.values, batch.samples[12].matrix.values)
+    assert np.array_equal(lone[0].matrix.values, batch.matrices()[12])
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +9,10 @@ from hypothesis import strategies as st
 from contactmodes import (
     BatchFormatError,
     ContactEvent,
+    SampleBatch,
     StaticGraph,
     TemporalNetwork,
+    TreeSample,
     bfs_tree,
     derive_rng,
     edge_preference,
@@ -22,6 +27,7 @@ from oracles import (
     bfs_root_tree_probability,
     is_forest,
     temporal_reachable,
+    tree_adjacency,
 )
 
 
@@ -43,7 +49,8 @@ def test_bfs_tree_is_spanning_tree(bridged_graph):
     assert t.reached == frozenset(range(7))
     assert t.n_edges == 6
     assert is_forest(7, t.parent.items())
-    assert t.matrix.values.sum() == pytest.approx(12.0)  # 6 edges, both halves
+    batch = SampleBatch(samples=(t,), n_nodes=7, seed=0)
+    assert batch.matrices()[0].sum() == pytest.approx(12.0)  # 6 edges, both halves
 
 
 def test_bfs_tree_depths_match_distances(bridged_graph):
@@ -311,3 +318,97 @@ def test_read_batch_accepts_consistent_partial_flags(tmp_path):
     batch = read_batch(p)
     assert [s.partial for s in batch.samples] == [False, True, True]
     assert [s.reached for s in batch.samples] == [{0, 1, 2}, {2}, {0, 1}]
+
+
+# ---------------------------------------------------------------------------
+# Trees as parent maps, dense only on demand
+
+
+def _check_dense_against_oracle(batch):
+    n = batch.n_nodes
+    mats = batch.matrices()
+    assert mats.shape == (len(batch), n, n)
+    assert mats.dtype == np.float64
+    for s, got in zip(batch.samples, mats):
+        want = tree_adjacency(n, s.parent)
+        assert np.array_equal(got, want)
+        assert s.reached == {s.root} | set(s.parent)
+        assert all(s.uses_edge(i, j) == (want[i, j] == 1.0) for i in range(n) for j in range(n))
+
+
+def _check_dense_round_trip(batch):
+    _check_dense_against_oracle(batch)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "batch.txt"
+        write_batch(batch, path)
+        again = read_batch(path)
+    _check_dense_against_oracle(again)
+    assert np.array_equal(again.matrices(), batch.matrices())
+
+
+def _static_graphs(n):
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return st.tuples(st.just(n), st.lists(edge, max_size=12))
+
+
+@given(
+    st.integers(2, 8).flatmap(_static_graphs),
+    st.booleans(),
+    st.integers(1, 12),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_bfs_matrices_match_dense_oracle(graph, connect, m, seed):
+    n, edges = graph
+    if connect:  # a path backbone makes every tree complete
+        edges = edges + [(i, i + 1) for i in range(n - 1)]
+    batch = sample_batch(StaticGraph.from_edges(n, edges), m, seed=seed)
+    assert all(not s.partial for s in batch.samples) or not connect
+    _check_dense_round_trip(batch)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 40)).filter(lambda e: e[0] != e[1]),
+        min_size=1,
+        max_size=25,
+    ),
+    st.integers(1, 12),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_flood_matrices_match_dense_oracle(raw, m, seed):
+    # shared timestamps are allowed: the flood shuffles them per tree
+    net = _temporal([(a, b, float(t), float(t)) for a, b, t in raw], n=6)
+    batch = sample_batch(net, m, seed=seed)
+    _check_dense_round_trip(batch)
+
+
+def test_dense_oracle_sees_partial_trees():
+    # node 3 is never contacted, so every flood is partial
+    net = _temporal([(0, 1, 1.0, 1.0), (1, 2, 2.0, 2.0)], n=4)
+    floods = sample_batch(net, 6, seed=0)
+    # two components: every BFS tree spans only its root's
+    bfs = sample_batch(StaticGraph.from_edges(5, [(0, 1), (2, 3), (3, 4)]), 6, seed=0)
+    for batch in (floods, bfs):
+        assert all(s.partial for s in batch.samples)
+        _check_dense_round_trip(batch)
+
+
+@pytest.mark.parametrize(
+    "root, parent",
+    [(0, {1: -1, 2: 0}), (0, {-1: 0}), (0, {1: 0, 2: 3}), (3, {})],
+    ids=["negative-parent", "negative-child", "parent-past-n", "root-past-n"],
+)
+def test_batch_rejects_out_of_range_nodes(root, parent):
+    ok = TreeSample(root=0, start_time=0.0, parent={1: 0, 2: 1})
+    bad = TreeSample(root=root, start_time=1.0, parent=parent, partial=True)
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        SampleBatch(samples=(ok, bad), n_nodes=3, seed=0)
+
+
+def test_tree_sample_takes_keywords_only():
+    # positional arguments are refused: a call written for another field
+    # order would otherwise bind its values to the wrong fields silently
+    with pytest.raises(TypeError):
+        TreeSample(0, 0.0, {1: 0}, frozenset({0, 1}), None)
