@@ -40,8 +40,7 @@ from .generators import (
     write_labels,
     write_schedule,
 )
-from .jointdiag import joint_diagonalise
-from .modes import fit_batch_modes, kde_density, per_mode_reconstruction, write_report
+from .modes import decompose, kde_density, write_report
 from .network import (
     aggregate_static,
     ingest_trace,
@@ -122,10 +121,7 @@ def _stage_sample(source, m, seed, horizon, out: Path) -> list:
     return [path]
 
 
-def _stage_analyse(batch, out: Path, opts: dict) -> tuple:
-    """Run JD + modes + graph reports; returns (artefacts, status)."""
-    artefacts = []
-    jd = joint_diagonalise(batch, tol=opts["jd_tol"], max_sweeps=opts["max_sweeps"])
+def _write_jd(jd, out: Path, artefacts: list) -> None:
     jd_path = out / "jd.json"
     jd.write_json(jd_path)
     artefacts.append(jd_path)
@@ -138,25 +134,26 @@ def _stage_analyse(batch, out: Path, opts: dict) -> tuple:
             fh.write(f"{float(g)!r},{float(d)!r}\n")
     artefacts.append(kde_path)
 
-    if not jd.converged:
-        return artefacts, "convergence-failure"
 
-    model = fit_batch_modes(
-        batch,
-        jd.deviations,
-        k_max=opts["k_max"],
-        seed=opts["seed"],
-        n_restarts=opts["restarts"],
-        log_delta=opts["log_delta"],
-    )
-    report = per_mode_reconstruction(
-        model,
-        batch,
-        bin_width=opts["bin_width"],
-        overall=jd,
-        tol=opts["jd_tol"],
-        max_sweeps=opts["max_sweeps"],
-    )
+def _stage_analyse(batch, out: Path, opts: dict, artefacts: list) -> None:
+    """Run ``decompose`` and write its reports and graphs; each file is
+    appended to ``artefacts`` as it lands, so it is listed on every exit."""
+    try:
+        report = decompose(
+            batch,
+            k_max=opts["k_max"],
+            seed=opts["seed"],
+            tol=opts["jd_tol"],
+            max_sweeps=opts["max_sweeps"],
+            bin_width=opts["bin_width"],
+            log_delta=opts["log_delta"],
+            n_restarts=opts["restarts"],
+        )
+    except ConvergenceError as exc:
+        if exc.result is not None:
+            _write_jd(exc.result, out, artefacts)
+        raise
+    _write_jd(report.overall_result, out, artefacts)
     artefacts.extend(write_report(report, out))
 
     transform = "neglog" if opts["neglog"] else "reciprocal"
@@ -177,7 +174,6 @@ def _stage_analyse(batch, out: Path, opts: dict) -> tuple:
             nwk_path = out / f"{name}.newick"
             write_newick(dendro, nwk_path)
             artefacts.append(nwk_path)
-    return artefacts, "ok"
 
 
 def _stage_sir(net, params: SirParams, opts: dict, out: Path) -> list:
@@ -242,17 +238,14 @@ def _cmd_analyse(args) -> int:
     out = _prepare_out(args.out)
     cfg = _write_json(out / "config.json", _config_payload(args))
     batch = _analyse_batch(args)
-    opts = vars(args)
+    artefacts = []
     try:
-        artefacts, status = _stage_analyse(batch, out, opts)
+        _stage_analyse(batch, out, vars(args), artefacts)
     except ConvergenceError as exc:
-        _write_manifest(out, cfg, [out / "config.json"], status="convergence-failure")
+        _write_manifest(out, cfg, artefacts + [out / "config.json"], status="convergence-failure")
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _write_manifest(out, cfg, artefacts + [out / "config.json"], status=status)
-    if status != "ok":
-        print("error: joint diagonalisation did not converge", file=sys.stderr)
-        return 3
+    _write_manifest(out, cfg, artefacts + [out / "config.json"])
     print(f"wrote {len(artefacts)} artefact(s) to {out}")
     return 0
 
@@ -317,15 +310,10 @@ def _cmd_repro(args) -> int:
         "min_size": 1,
     }
     try:
-        analyse_art, status = _stage_analyse(batch, analyse_out, opts)
+        _stage_analyse(batch, analyse_out, opts, artefacts)
     except ConvergenceError as exc:
         _write_manifest(out, cfg, artefacts, status="convergence-failure")
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    artefacts.extend(analyse_art)
-    if status != "ok":
-        _write_manifest(out, cfg, artefacts, status=status)
-        print("error: joint diagonalisation did not converge", file=sys.stderr)
         return 3
 
     sir_out = _prepare_out(out / "sir")

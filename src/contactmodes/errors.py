@@ -29,4 +29,9 @@ class BatchFormatError(DataError):
 
 
 class ConvergenceError(Exception):
-    """An iterative numerical routine failed to reach its target."""
+    """An iterative numerical routine failed to reach its target; carries
+    the routine's non-converged result when one is known."""
+
+    def __init__(self, message: str, result=None):
+        super().__init__(message)
+        self.result = result

@@ -4,9 +4,9 @@ The deviations delta_i produced by joint diagonalisation are treated as a
 one-dimensional sample and fitted with a Gaussian mixture (EM, seeded
 k-means++ initialisation, BIC model selection).  Hard assignments split
 the sample batch into modes; each mode gets its own joint
-diagonalisation and average-graph reconstruction, and any mode can be
-decomposed again into submodes by recursing the whole pipeline on its
-members.
+diagonalisation (a mode holding the whole batch reuses the overall one)
+and average-graph reconstruction, and any mode can be decomposed again
+into submodes by recursing the whole pipeline on its members.
 """
 
 from __future__ import annotations
@@ -424,23 +424,22 @@ def per_mode_reconstruction(
     model: ModeModel,
     batch: SampleBatch,
     bin_width: float | None = None,
-    overall: JdResult | None = None,
+    *,
+    overall: JdResult,
     tol: float = 1e-9,
     max_sweeps: int = 100,
 ) -> ModeReport:
     """Rebuild the average graph independently for every mode.
 
     Each nonempty mode's member matrices get their own joint
-    diagonalisation and reconstruction; a single-sample mode keeps its
-    lone matrix and is flagged.  Empty modes are dropped with a warning.
-    ``overall`` may pass in a precomputed whole-batch diagonalisation to
-    avoid repeating it.
+    diagonalisation and reconstruction, except that a mode holding the
+    whole batch reuses ``overall``, the whole-batch diagonalisation; a
+    single-sample mode keeps its lone matrix and is flagged.  Empty modes
+    are dropped with a warning.
     """
     if model.n_samples != len(batch.samples):
         raise ValueError("model was fitted on a different number of samples than the batch holds")
-    if overall is None:
-        overall = joint_diagonalise(batch, tol=tol, max_sweeps=max_sweeps)
-    elif overall.n != batch.n_nodes or overall.n_samples != len(batch.samples):
+    if overall.n != batch.n_nodes or overall.n_samples != len(batch.samples):
         raise ValueError("precomputed overall result does not match the batch")
     overall_matrix = reconstruct_average(overall)
 
@@ -454,16 +453,12 @@ def per_mode_reconstruction(
             matrix = SymMatrix(batch.subset(members).matrices()[0])
             summaries.append(ModeSummary(index=j, members=members, matrix=matrix, single_sample=True, result=None))
             continue
-        sub = joint_diagonalise(batch.subset(members), tol=tol, max_sweeps=max_sweeps)
-        summaries.append(
-            ModeSummary(
-                index=j,
-                members=members,
-                matrix=reconstruct_average(sub),
-                single_sample=False,
-                result=sub,
-            )
-        )
+        if len(members) == len(batch.samples):
+            sub, matrix = overall, overall_matrix
+        else:
+            sub = joint_diagonalise(batch.subset(members), tol=tol, max_sweeps=max_sweeps)
+            matrix = reconstruct_average(sub)
+        summaries.append(ModeSummary(index=j, members=members, matrix=matrix, single_sample=False, result=sub))
 
     if bin_width is None:
         span = batch.source.t_max - batch.source.t_min
@@ -532,9 +527,13 @@ def decompose(
     ``report.model.log_likelihood`` cover the complete trees while the
     modes partition the whole batch.  ``log_delta`` fits the mixture on
     log-transformed deviations instead of raw ones.  Raises
-    :class:`DataError` when the batch holds no complete tree.
+    :class:`DataError` when the batch holds no complete tree, and, before
+    any mixture fit, :class:`ConvergenceError` with the whole-batch
+    :class:`JdResult` as ``result`` when that one has not converged.
     """
     overall = joint_diagonalise(batch, tol=tol, max_sweeps=max_sweeps)
+    if not overall.converged:
+        raise ConvergenceError("joint diagonalisation did not converge", result=overall)
     model = fit_batch_modes(
         batch, overall.deviations, k_max=k_max, seed=seed, n_restarts=n_restarts, log_delta=log_delta
     )

@@ -3,7 +3,6 @@ import pytest
 
 import contactmodes
 from contactmodes import StaticGraph
-from contactmodes import cli as cli_mod
 from contactmodes import jointdiag as jd_mod
 from contactmodes import modes as modes_mod
 
@@ -24,7 +23,7 @@ def _jd_monotonicity_guard():
         JD_HISTORIES.append(hist)
         return res
 
-    patched = [jd_mod, modes_mod, cli_mod, contactmodes]
+    patched = [jd_mod, modes_mod, contactmodes]
     for mod in patched:
         mod.joint_diagonalise = checked
     yield

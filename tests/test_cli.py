@@ -1,9 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from contactmodes import modes as modes_mod
 from contactmodes.cli import main
+from contactmodes.modes import decompose, write_report
+from contactmodes.sampling import SampleBatch, SourceInfo, TreeSample, read_batch, write_batch
 
 
 def _run(*argv):
@@ -23,6 +27,28 @@ def synth_dir(tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def two_mode_batch_path(tmp_path_factory):
+    """12 path trees near t=10 and 9 star trees near t=100 on 6 nodes:
+    a batch whose mixture finds two modes of several trees each."""
+    path = {i: i - 1 for i in range(1, 6)}
+    star = {i: 0 for i in range(1, 6)}
+    samples = [TreeSample(root=0, start_time=10.0 + 0.1 * i, parent=path) for i in range(12)]
+    samples += [TreeSample(root=0, start_time=100.0 + 0.1 * i, parent=star) for i in range(9)]
+    batch = SampleBatch(
+        samples=tuple(samples), n_nodes=6, seed=0, source=SourceInfo(kind="temporal", t_min=0.0, t_max=120.0)
+    )
+    out = tmp_path_factory.mktemp("two_mode") / "batch.txt"
+    write_batch(batch, out)
+    return out
+
+
+def _listed_equals_on_disk(out) -> bool:
+    manifest = json.loads((out / "manifest.json").read_text())
+    on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
+    return set(manifest["artefacts"]) == on_disk
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -177,12 +203,65 @@ def test_analyse_flags_non_convergence(synth_dir, tmp_path, capsys):
         "--out", str(analyse_out),
     )
     assert code == 3
+    assert capsys.readouterr().err == "error: joint diagonalisation did not converge\n"
     manifest = json.loads((analyse_out / "manifest.json").read_text())
     assert manifest["status"] == "convergence-failure"
-    # partial artefacts still land on disk for inspection
+    # partial artefacts still land on disk for inspection, and are listed
     assert (analyse_out / "jd.json").exists()
     assert (analyse_out / "kde.csv").exists()
     assert not (analyse_out / "report.json").exists()
+    assert {"jd.json", "kde.csv"} <= set(manifest["artefacts"])
+    assert _listed_equals_on_disk(analyse_out)
+
+
+def test_analyse_manifest_lists_files_when_a_mode_jd_fails(two_mode_batch_path, tmp_path, monkeypatch):
+    n_trees = len(read_batch(two_mode_batch_path).samples)
+    original = modes_mod.joint_diagonalise
+    failed = []
+
+    def per_mode_fails(batch, *args, **kwargs):
+        res = original(batch, *args, **kwargs)
+        if len(batch.samples) < n_trees:
+            failed.append(len(batch.samples))
+            res = replace(res, converged=False)
+        return res
+
+    monkeypatch.setattr(modes_mod, "joint_diagonalise", per_mode_fails)
+    out = tmp_path / "a"
+    code = _run("analyse", "--batch", str(two_mode_batch_path), "--k-max", "2", "--restarts", "2", "--out", str(out))
+    assert code == 3
+    assert failed
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "convergence-failure"
+    assert not (out / "report.json").exists()
+    assert _listed_equals_on_disk(out)
+
+
+@pytest.mark.parametrize("which", ["two-mode", "synth"])
+def test_analyse_writes_what_decompose_reports(which, two_mode_batch_path, synth_dir, tmp_path):
+    if which == "two-mode":
+        batch_path = two_mode_batch_path
+    else:
+        assert _run(
+            "sample", "--trace", str(synth_dir / "trace.csv"), "--m", "60", "--seed", "1",
+            "--out", str(tmp_path / "s"),
+        ) == 0
+        batch_path = tmp_path / "s" / "batch.txt"
+    cli_out = tmp_path / "cli"
+    assert _run(
+        "analyse", "--batch", str(batch_path),
+        "--k-max", "3", "--restarts", "3", "--jd-tol", "1e-6", "--seed", "1", "--bin-width", "7.5",
+        "--out", str(cli_out),
+    ) == 0
+    report = decompose(read_batch(batch_path), k_max=3, seed=1, tol=1e-6, bin_width=7.5, n_restarts=3)
+    lib_out = tmp_path / "lib"
+    written = write_report(report, lib_out)
+    report.overall_result.write_json(lib_out / "jd.json")
+    names = sorted(p.name for p in written) + ["jd.json"]
+    assert len([n for n in names if n.startswith("mode_")]) == report.n_modes
+    for name in names:
+        assert (cli_out / name).read_bytes() == (lib_out / name).read_bytes(), name
+    assert _listed_equals_on_disk(cli_out)
 
 
 def test_sample_static_aggregation(synth_dir, tmp_path):

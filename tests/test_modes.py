@@ -24,6 +24,8 @@ from contactmodes import (
     select_modes,
     submode_decompose,
 )
+from contactmodes import modes as modes_mod
+from contactmodes.jointdiag import JdResult
 from contactmodes.modes import gamma_moment_fit, write_report
 from contactmodes.sampling import SampleBatch, SourceInfo, TreeSample
 from oracles import count_density_modes
@@ -228,6 +230,58 @@ def test_decompose_needs_a_complete_tree():
         decompose(partial_only, k_max=2, seed=0)
 
 
+def test_decompose_stops_when_overall_jd_does_not_converge(monkeypatch):
+    fits = []
+    select = modes_mod.select_modes
+    monkeypatch.setattr(modes_mod, "select_modes", lambda *a, **kw: fits.append(a) or select(*a, **kw))
+    batch = _two_mode_batch()
+    with pytest.raises(ConvergenceError, match="did not converge") as info:
+        decompose(batch, tol=1e-30, max_sweeps=1)
+    result = info.value.result
+    assert isinstance(result, JdResult)
+    assert not result.converged
+    assert result.n_samples == len(batch.samples)
+    assert fits == []
+
+
+def _count_jd_calls(monkeypatch) -> list:
+    calls = []
+    original = modes_mod.joint_diagonalise
+
+    def counted(*args, **kwargs):
+        res = original(*args, **kwargs)
+        calls.append(res)
+        return res
+
+    monkeypatch.setattr(modes_mod, "joint_diagonalise", counted)
+    return calls
+
+
+def test_whole_batch_mode_reuses_overall_jd(monkeypatch):
+    batch = _two_mode_batch()
+    calls = _count_jd_calls(monkeypatch)
+    report = decompose(batch, k_max=1)
+    assert report.n_modes == 1
+    assert report.modes[0].result is report.overall_result
+    assert report.modes[0].matrix is report.overall_matrix
+    assert len(calls) == 1
+    # reuse is exact: diagonalising the whole batch again gives the same bits
+    again = contactmodes.joint_diagonalise(batch.subset(report.modes[0].members))
+    for name in ("avg_diag", "deviations", "off2_history"):
+        assert np.array_equal(getattr(again, name), getattr(report.overall_result, name)), name
+    assert np.array_equal(again.basis.values, report.overall_result.basis.values)
+
+
+def test_submode_whole_split_reuses_its_jd(monkeypatch):
+    report = decompose(_two_mode_batch(), k_max=4, seed=0)
+    big = max(range(report.n_modes), key=lambda j: report.modes[j].count)
+    calls = _count_jd_calls(monkeypatch)
+    sub = submode_decompose(report, big, k_max=1)
+    assert sub.n_modes == 1
+    assert sub.modes[0].result is sub.overall_result
+    assert len(calls) == 1
+
+
 def test_model_assign_uses_posterior():
     rng = derive_rng(8, "gmm-assign")
     x = np.concatenate([rng.normal(0.0, 1.0, 100), rng.normal(10.0, 1.0, 100)])
@@ -262,9 +316,9 @@ def test_decompose_log_delta_same_partition():
 
 def test_per_mode_reconstruction_single_sample_mode():
     batch = _two_mode_batch(m0=12, m1=1)
-    deltas = decompose(batch, k_max=2, seed=0).deltas()
-    model = fit_gmm_1d(deltas, k=2, seed=0)
-    report = per_mode_reconstruction(model, batch)
+    overall = decompose(batch, k_max=2, seed=0).overall_result
+    model = fit_gmm_1d(overall.deviations, k=2, seed=0)
+    report = per_mode_reconstruction(model, batch, overall=overall)
     lone = [m for m in report.modes if m.count == 1]
     assert len(lone) == 1
     assert lone[0].single_sample
@@ -285,7 +339,7 @@ def test_per_mode_reconstruction_rejects_mismatched_model():
     batch = _two_mode_batch()
     model = fit_gmm_1d(np.arange(5.0), k=1)
     with pytest.raises(ValueError, match="different number of samples"):
-        per_mode_reconstruction(model, batch)
+        per_mode_reconstruction(model, batch, overall=contactmodes.joint_diagonalise(batch))
 
 
 def test_submode_requires_enough_members():
