@@ -7,6 +7,11 @@ the 600 s step of the reference traces, a mean infectious duration of 80
 steps corresponds to 800 minutes).  Every run pre-draws its transmission
 uniforms and per-node durations, so trajectories under different
 ``p_transmit`` values are coupled on the same random stream.
+
+The runs of an experiment walk together: one pass over the window's
+events advances every (seed node, run) pair at once, each pair still
+drawing from its own stream, so the curves are those of one
+:func:`run_sir` call per pair.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from .network import TemporalNetwork
 from .seeds import derive_rng
 
 _BIG = np.iinfo(np.int64).max // 4
+# bytes of transmission masks held at once; a block of pairs holds as
+# many pairs as fit, and at least one
+_MASK_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,107 @@ class SirRun:
         return len(self.s_of_t)
 
 
+def _window_events(net: TemporalNetwork, params: SirParams, per_step_contacts: bool):
+    """Step, first and second endpoint of every event inside the window,
+    in walk order.
+
+    With ``per_step_contacts`` a contact covering several steps becomes
+    one event per covered step inside the window, stably ordered by step.
+    """
+    a, b, start, end = net.event_arrays
+    g = net.granularity
+    steps = np.floor((start - net.t_min) / g).astype(np.int64)
+    window_end = params.start_step + params.horizon
+    if not per_step_contacts:
+        lo, hi = np.searchsorted(steps, [params.start_step, window_end], side="left")
+        return steps[lo:hi], a[lo:hi], b[lo:hi]
+    last = np.maximum(steps, np.ceil((end - net.t_min) / g - 1e-9).astype(np.int64) - 1)
+    first = np.maximum(steps, params.start_step)
+    counts = np.maximum(np.minimum(last, window_end - 1) + 1 - first, 0)
+    owner = np.repeat(np.arange(len(steps)), counts)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    ev_step = first[owner] + offset
+    order = np.argsort(ev_step, kind="stable")
+    return ev_step[order], a[owner[order]], b[owner[order]]
+
+
+def _walk(net: TemporalNetwork, seed_nodes, params: SirParams, rngs, per_step_contacts: bool):
+    """Simulate one outbreak per (seed node, random stream) pair in a
+    single pass over the window's events.
+
+    Returns ``(visible_from, recovery_step)``, each of shape (n, pairs):
+    the snapshot index from which a node no longer counts as susceptible
+    (``_BIG`` for a node never infected) and the absolute step at which
+    it recovers (-1 for a node never infected).  Each pair draws, in this
+    order, one uniform per window event and then one Poisson duration per
+    node, and keeps only its transmission mask ``u < p_transmit``; pairs
+    are walked in blocks whose masks fit in ``_MASK_BUDGET`` bytes.
+    """
+    n = net.n_nodes
+    seed_nodes = np.asarray(seed_nodes, dtype=np.int64)
+    bad = seed_nodes[(seed_nodes < 0) | (seed_nodes >= n)]
+    if len(bad):
+        raise ValueError(f"seed node {bad[0]} out of range for {n} nodes")
+    if net.n_events and not net.t_min + params.start_step * net.granularity <= net.t_max:
+        raise ValueError("start_step lies beyond the trace")
+
+    ev_step, ev_a, ev_b = _window_events(net, params, per_step_contacts)
+    n_events = len(ev_step)
+    ev_step, ev_a, ev_b = ev_step.tolist(), ev_a.tolist(), ev_b.tolist()
+    n_pairs = len(seed_nodes)
+    visible_from = np.empty((n, n_pairs), dtype=np.int64)
+    recovery_step = np.empty((n, n_pairs), dtype=np.int64)
+    block = max(1, _MASK_BUDGET // max(1, n_events))
+    rngs = iter(rngs)
+    for lo in range(0, n_pairs, block):
+        width = min(block, n_pairs - lo)
+        mask = np.empty((n_events, width), dtype=bool)
+        durations = np.full((n, width), params.horizon + 1, dtype=np.int64)
+        for j in range(width):
+            rng = next(rngs)
+            mask[:, j] = rng.random(n_events) < params.p_transmit
+            if not math.isinf(params.recovery_mean):
+                durations[:, j] = rng.poisson(params.recovery_mean, n)
+
+        # a node is susceptible while its recovery step is -1, and
+        # infectious at step sa while its recovery step exceeds sa
+        cols = np.arange(width)
+        seeds = seed_nodes[lo : lo + width]
+        rec = np.full((n, width), -1, dtype=np.int64)
+        vis = np.full((n, width), _BIG, dtype=np.int64)
+        rec[seeds, cols] = params.start_step + durations[seeds, cols]
+        vis[seeds, cols] = 0
+        # pairs in which each node has been infected: an event between two
+        # nodes infected in no pair, or in every pair, cannot transmit
+        n_infected = np.bincount(seeds, minlength=n).tolist()
+        for idx, (sa, x, y) in enumerate(zip(ev_step, ev_a, ev_b)):
+            cx, cy = n_infected[x], n_infected[y]
+            if cx == cy and (cx == 0 or cx == width):
+                continue
+            rx, ry, hit = rec[x], rec[y], mask[idx]
+            hit_x = (ry > sa) & (rx < 0) & hit
+            hit_y = (rx > sa) & (ry < 0) & hit
+            for v, new in ((x, hit_x), (y, hit_y)):
+                count = np.count_nonzero(new)
+                if count:
+                    rec[v, new] = sa + durations[v, new]
+                    vis[v, new] = sa - params.start_step + 1
+                    n_infected[v] += count
+        visible_from[:, lo : lo + width] = vis
+        recovery_step[:, lo : lo + width] = rec
+    return visible_from, recovery_step
+
+
+def _counts_up_to(first_index, horizon: int) -> np.ndarray:
+    """For each column of ``first_index`` (shape (n, pairs)), the number
+    of its entries at most k, for k = 0..horizon; shape (pairs, horizon + 1)."""
+    n_pairs = first_index.shape[1]
+    width = horizon + 2
+    binned = np.minimum(first_index, horizon + 1) + width * np.arange(n_pairs)
+    counts = np.bincount(binned.ravel(), minlength=width * n_pairs).reshape(n_pairs, width)
+    return np.cumsum(counts[:, : horizon + 1], axis=1)
+
+
 def run_sir(
     net: TemporalNetwork,
     seed_node: int,
@@ -107,91 +216,17 @@ def run_sir(
     Poisson(``recovery_mean``); an infinite mean means no recovery
     inside the horizon.
     """
-    n = net.n_nodes
-    if not 0 <= seed_node < n:
-        raise ValueError(f"seed node {seed_node} out of range for {n} nodes")
-    a, b, start, end = net.event_arrays
-    if len(start) and not net.t_min + params.start_step * net.granularity <= net.t_max:
-        raise ValueError("start_step lies beyond the trace")
-
-    g = net.granularity
-    if len(start):
-        steps = np.floor((start - net.t_min) / g).astype(np.int64)
-    else:
-        steps = np.zeros(0, dtype=np.int64)
-    window_end = params.start_step + params.horizon
-    if per_step_contacts:
-        ev_step = []
-        ev_a = []
-        ev_b = []
-        for idx in range(len(start)):
-            s0 = steps[idx]
-            last = max(s0, int(math.ceil((end[idx] - net.t_min) / g - 1e-9)) - 1)
-            for k in range(max(s0, params.start_step), min(last, window_end - 1) + 1):
-                ev_step.append(k)
-                ev_a.append(a[idx])
-                ev_b.append(b[idx])
-        order = np.argsort(np.asarray(ev_step, dtype=np.int64), kind="stable")
-        ev_step = np.asarray(ev_step, dtype=np.int64)[order]
-        ev_a = np.asarray(ev_a, dtype=np.int64)[order]
-        ev_b = np.asarray(ev_b, dtype=np.int64)[order]
-    else:
-        lo = int(np.searchsorted(steps, params.start_step, side="left"))
-        hi = int(np.searchsorted(steps, window_end, side="left"))
-        ev_step = steps[lo:hi]
-        ev_a = a[lo:hi]
-        ev_b = b[lo:hi]
-
-    uniforms = rng.random(len(ev_step))
-    if math.isinf(params.recovery_mean):
-        durations = np.full(n, params.horizon + 1, dtype=np.int64)
-    else:
-        durations = rng.poisson(params.recovery_mean, n).astype(np.int64)
-
-    state = np.zeros(n, dtype=np.int8)  # 0 susceptible, 1 infectious, 2 recovered
-    visible_from = np.full(n, _BIG, dtype=np.int64)  # snapshot index where the node stops counting as S
-    recovery_step = np.full(n, _BIG, dtype=np.int64)
-    state[seed_node] = 1
-    visible_from[seed_node] = 0
-    recovery_step[seed_node] = params.start_step + durations[seed_node]
-
-    s_of_t = np.empty(params.horizon + 1, dtype=np.int64)
-    s_count = n - 1
-    cursor = 0
-
-    for idx in range(len(ev_step)):
-        k = int(ev_step[idx]) - params.start_step
-        while cursor <= k:
-            s_of_t[cursor] = s_count
-            cursor += 1
-        x, y = int(ev_a[idx]), int(ev_b[idx])
-        step_abs = int(ev_step[idx])
-        for v in (x, y):
-            if state[v] == 1 and step_abs >= recovery_step[v]:
-                state[v] = 2
-        if state[x] > state[y]:
-            x, y = y, x
-        # after the swap x has the lower state; infection needs (S, I)
-        if state[x] == 0 and state[y] == 1 and uniforms[idx] < params.p_transmit:
-            state[x] = 1
-            visible_from[x] = k + 1
-            recovery_step[x] = step_abs + durations[x]
-            s_count -= 1
-    s_of_t[cursor:] = s_count
-
-    ks = np.arange(params.horizon + 1)
-    infected_ever = visible_from < _BIG
-    rec_k = np.maximum(recovery_step - params.start_step, visible_from)
-    not_s = infected_ever[:, None] & (visible_from[:, None] <= ks[None, :])
-    recovered = infected_ever[:, None] & (rec_k[:, None] <= ks[None, :])
-    i_of_t = (not_s & ~recovered).sum(axis=0)
-    r_of_t = recovered.sum(axis=0)
+    visible_from, recovery_step = _walk(net, [seed_node], params, [rng], per_step_contacts)
+    infected = visible_from < _BIG
+    rec_k = np.where(infected, np.maximum(recovery_step - params.start_step, visible_from), _BIG)
+    not_s = _counts_up_to(visible_from, params.horizon)[0]
+    r_of_t = _counts_up_to(rec_k, params.horizon)[0]
     return SirRun(
         seed_node=seed_node,
-        s_of_t=s_of_t,
-        i_of_t=i_of_t,
+        s_of_t=net.n_nodes - not_s,
+        i_of_t=not_s - r_of_t,
         r_of_t=r_of_t,
-        reached=frozenset(int(v) for v in np.flatnonzero(infected_ever)),
+        reached=frozenset(int(v) for v in np.flatnonzero(infected)),
     )
 
 
@@ -231,9 +266,10 @@ def sir_experiment(
     """Repeat the outbreak for every node as seed and bootstrap the mean
     susceptible curve.
 
-    Each (node, run) pair draws from its own named random stream, so the
-    experiment is deterministic in ``seed`` and indifferent to execution
-    order.
+    Each (node, run) pair draws from its own named random stream,
+    ``derive_rng(seed, "sir", node, run)``, so the experiment is
+    deterministic in ``seed`` and indifferent to execution order; all
+    pairs are walked in one pass over the events.
     """
     if runs_per_node < 1:
         raise ValueError("runs_per_node must be at least 1")
@@ -244,12 +280,13 @@ def sir_experiment(
     lo_pct = 100.0 * (1.0 - ci) / 2.0
     hi_pct = 100.0 - lo_pct
 
+    n = net.n_nodes
+    rngs = (derive_rng(seed, "sir", node, r) for node in range(n) for r in range(runs_per_node))
+    visible_from, _ = _walk(net, np.repeat(np.arange(n), runs_per_node), params, rngs, per_step_contacts)
     curves = []
-    for node in range(net.n_nodes):
-        traj = np.empty((runs_per_node, params.horizon + 1))
-        for r in range(runs_per_node):
-            rng = derive_rng(seed, "sir", node, r)
-            traj[r] = run_sir(net, node, params, rng, per_step_contacts=per_step_contacts).s_of_t
+    for node in range(n):
+        pairs = visible_from[:, node * runs_per_node : (node + 1) * runs_per_node]
+        traj = (n - _counts_up_to(pairs, params.horizon)).astype(float)
         mean = traj.mean(axis=0)
         boot_rng = derive_rng(seed, "sir-boot", node)
         resampled = np.empty((bootstrap_resamples, params.horizon + 1))

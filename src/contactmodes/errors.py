@@ -29,8 +29,13 @@ class BatchFormatError(DataError):
 
 
 class ConvergenceError(Exception):
-    """An iterative numerical routine failed to reach its target; carries
-    the routine's non-converged result when one is known."""
+    """An iterative numerical routine failed to reach its target.
+
+    ``result`` holds the whole-batch joint diagonalisation when the
+    pipeline stops on one that failed: that non-converged result itself,
+    or the converged one when a per-mode diagonalisation failed.  It is
+    ``None`` where no such result exists.
+    """
 
     def __init__(self, message: str, result=None):
         super().__init__(message)

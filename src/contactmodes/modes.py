@@ -435,7 +435,9 @@ def per_mode_reconstruction(
     diagonalisation and reconstruction, except that a mode holding the
     whole batch reuses ``overall``, the whole-batch diagonalisation; a
     single-sample mode keeps its lone matrix and is flagged.  Empty modes
-    are dropped with a warning.
+    are dropped with a warning.  A mode whose diagonalisation does not
+    converge raises :class:`ConvergenceError` naming the mode, with
+    ``overall`` as ``result``.
     """
     if model.n_samples != len(batch.samples):
         raise ValueError("model was fitted on a different number of samples than the batch holds")
@@ -457,6 +459,8 @@ def per_mode_reconstruction(
             sub, matrix = overall, overall_matrix
         else:
             sub = joint_diagonalise(batch.subset(members), tol=tol, max_sweeps=max_sweeps)
+            if not sub.converged:
+                raise ConvergenceError(f"joint diagonalisation of mode {j} did not converge", result=overall)
             matrix = reconstruct_average(sub)
         summaries.append(ModeSummary(index=j, members=members, matrix=matrix, single_sample=False, result=sub))
 
@@ -529,7 +533,9 @@ def decompose(
     log-transformed deviations instead of raw ones.  Raises
     :class:`DataError` when the batch holds no complete tree, and, before
     any mixture fit, :class:`ConvergenceError` with the whole-batch
-    :class:`JdResult` as ``result`` when that one has not converged.
+    :class:`JdResult` as ``result`` when that one has not converged; a
+    per-mode diagonalisation that does not converge raises it with the
+    converged whole-batch result (see :func:`per_mode_reconstruction`).
     """
     overall = joint_diagonalise(batch, tol=tol, max_sweeps=max_sweeps)
     if not overall.converged:

@@ -197,3 +197,110 @@ def count_density_modes(components, lo: float, hi: float, n_grid: int = 20001) -
         if f > left and f > right:
             peaks += 1
     return peaks
+
+
+def per_step_events(net, start_step: int, window_end: int):
+    """Per-step expansion of a trace's contacts, one event per covered
+    step in [start_step, window_end), as a loop over contacts and their
+    steps followed by a stable sort by step; returns (step, a, b)."""
+    a, b, start, end = net.event_arrays
+    g = net.granularity
+    if len(start):
+        steps = np.floor((start - net.t_min) / g).astype(np.int64)
+    else:
+        steps = np.zeros(0, dtype=np.int64)
+    ev_step = []
+    ev_a = []
+    ev_b = []
+    for idx in range(len(start)):
+        s0 = steps[idx]
+        last = max(s0, int(math.ceil((end[idx] - net.t_min) / g - 1e-9)) - 1)
+        for k in range(max(s0, start_step), min(last, window_end - 1) + 1):
+            ev_step.append(k)
+            ev_a.append(a[idx])
+            ev_b.append(b[idx])
+    order = np.argsort(np.asarray(ev_step, dtype=np.int64), kind="stable")
+    ev_step = np.asarray(ev_step, dtype=np.int64)[order]
+    ev_a = np.asarray(ev_a, dtype=np.int64)[order]
+    ev_b = np.asarray(ev_b, dtype=np.int64)[order]
+    return ev_step, ev_a, ev_b
+
+
+_BIG = np.iinfo(np.int64).max // 4
+
+
+def reference_sir_walk(net, seed_node: int, params, rng, per_step_contacts: bool = False):
+    """One SIR outbreak walked event by event with an explicit
+    susceptible/infectious/recovered state per node.
+
+    Draws one uniform per window event, then one Poisson duration per
+    node (none for an infinite mean).  Returns ``(s_of_t, i_of_t,
+    r_of_t, reached)``.
+    """
+    n = net.n_nodes
+    if not 0 <= seed_node < n:
+        raise ValueError(f"seed node {seed_node} out of range for {n} nodes")
+    a, b, start, end = net.event_arrays
+    if len(start) and not net.t_min + params.start_step * net.granularity <= net.t_max:
+        raise ValueError("start_step lies beyond the trace")
+
+    g = net.granularity
+    if len(start):
+        steps = np.floor((start - net.t_min) / g).astype(np.int64)
+    else:
+        steps = np.zeros(0, dtype=np.int64)
+    window_end = params.start_step + params.horizon
+    if per_step_contacts:
+        ev_step, ev_a, ev_b = per_step_events(net, params.start_step, window_end)
+    else:
+        lo = int(np.searchsorted(steps, params.start_step, side="left"))
+        hi = int(np.searchsorted(steps, window_end, side="left"))
+        ev_step = steps[lo:hi]
+        ev_a = a[lo:hi]
+        ev_b = b[lo:hi]
+
+    uniforms = rng.random(len(ev_step))
+    if math.isinf(params.recovery_mean):
+        durations = np.full(n, params.horizon + 1, dtype=np.int64)
+    else:
+        durations = rng.poisson(params.recovery_mean, n).astype(np.int64)
+
+    state = np.zeros(n, dtype=np.int8)  # 0 susceptible, 1 infectious, 2 recovered
+    visible_from = np.full(n, _BIG, dtype=np.int64)  # snapshot index where the node stops counting as S
+    recovery_step = np.full(n, _BIG, dtype=np.int64)
+    state[seed_node] = 1
+    visible_from[seed_node] = 0
+    recovery_step[seed_node] = params.start_step + durations[seed_node]
+
+    s_of_t = np.empty(params.horizon + 1, dtype=np.int64)
+    s_count = n - 1
+    cursor = 0
+
+    for idx in range(len(ev_step)):
+        k = int(ev_step[idx]) - params.start_step
+        while cursor <= k:
+            s_of_t[cursor] = s_count
+            cursor += 1
+        x, y = int(ev_a[idx]), int(ev_b[idx])
+        step_abs = int(ev_step[idx])
+        for v in (x, y):
+            if state[v] == 1 and step_abs >= recovery_step[v]:
+                state[v] = 2
+        if state[x] > state[y]:
+            x, y = y, x
+        # after the swap x has the lower state; infection needs (S, I)
+        if state[x] == 0 and state[y] == 1 and uniforms[idx] < params.p_transmit:
+            state[x] = 1
+            visible_from[x] = k + 1
+            recovery_step[x] = step_abs + durations[x]
+            s_count -= 1
+    s_of_t[cursor:] = s_count
+
+    ks = np.arange(params.horizon + 1)
+    infected_ever = visible_from < _BIG
+    rec_k = np.maximum(recovery_step - params.start_step, visible_from)
+    not_s = infected_ever[:, None] & (visible_from[:, None] <= ks[None, :])
+    recovered = infected_ever[:, None] & (rec_k[:, None] <= ks[None, :])
+    i_of_t = (not_s & ~recovered).sum(axis=0)
+    r_of_t = recovered.sum(axis=0)
+    return s_of_t, i_of_t, r_of_t, frozenset(int(v) for v in np.flatnonzero(infected_ever))

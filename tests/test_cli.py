@@ -214,7 +214,7 @@ def test_analyse_flags_non_convergence(synth_dir, tmp_path, capsys):
     assert _listed_equals_on_disk(analyse_out)
 
 
-def test_analyse_manifest_lists_files_when_a_mode_jd_fails(two_mode_batch_path, tmp_path, monkeypatch):
+def test_analyse_manifest_lists_files_when_a_mode_jd_fails(two_mode_batch_path, tmp_path, monkeypatch, capsys):
     n_trees = len(read_batch(two_mode_batch_path).samples)
     original = modes_mod.joint_diagonalise
     failed = []
@@ -231,8 +231,14 @@ def test_analyse_manifest_lists_files_when_a_mode_jd_fails(two_mode_batch_path, 
     code = _run("analyse", "--batch", str(two_mode_batch_path), "--k-max", "2", "--restarts", "2", "--out", str(out))
     assert code == 3
     assert failed
+    assert capsys.readouterr().err == "error: joint diagonalisation of mode 0 did not converge\n"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "convergence-failure"
+    # the converged whole-batch diagonalisation is still written and listed
+    assert (out / "jd.json").exists()
+    assert (out / "kde.csv").exists()
+    assert json.loads((out / "jd.json").read_text())["converged"] is True
+    assert {"jd.json", "kde.csv"} <= set(manifest["artefacts"])
     assert not (out / "report.json").exists()
     assert _listed_equals_on_disk(out)
 

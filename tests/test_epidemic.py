@@ -1,8 +1,12 @@
+import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contactmodes import (
     ContactEvent,
@@ -17,7 +21,9 @@ from contactmodes import (
     run_sir,
     sir_experiment,
 )
+from contactmodes import epidemic
 from contactmodes.epidemic import write_curves_csv, write_ranking_json
+from oracles import per_step_events, reference_sir_walk
 
 
 def _net(events, n=None, granularity=1.0):
@@ -227,3 +233,188 @@ def test_curve_and_ranking_exports(tmp_path):
     payload = json.loads((tmp_path / "rank.json").read_text())
     assert payload["order"] == [0, 1]
     assert payload["half_time"] == {"0": 1, "1": None}
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the event-by-event reference walk
+
+
+@st.composite
+def _traces(draw):
+    """Small traces: fractional, tenth- or quarter-second contact times,
+    contacts spanning several steps or ending on a step boundary (some
+    only up to rounding, such as 2.1 s at 0.7 s per step), isolated nodes."""
+    n = draw(st.integers(2, 5))
+    isolated = draw(st.integers(0, 2))
+    granularity = draw(st.sampled_from([0.25, 0.5, 0.7, 1.0, 2.5]))
+    times = st.one_of(
+        st.integers(0, 60).map(lambda q: 0.25 * q),
+        st.integers(0, 150).map(lambda q: 0.1 * q),
+        st.floats(0.0, 15.0, allow_nan=False, allow_infinity=False),
+    )
+    events = []
+    for _ in range(draw(st.integers(0, 14))):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, n - 2))
+        start = draw(times)
+        length = draw(st.one_of(st.integers(0, 12).map(lambda q: 0.25 * q), st.floats(0.0, 4.0)))
+        events.append((a, b if b < a else b + 1, start, start + length))
+    return _net(events, n=n + isolated, granularity=granularity)
+
+
+def _same_run(run, ref):
+    s, i, r, reached = ref
+    assert run.s_of_t.dtype == run.i_of_t.dtype == run.r_of_t.dtype == np.int64
+    assert run.s_of_t.tolist() == s.tolist()
+    assert run.i_of_t.tolist() == i.tolist()
+    assert run.r_of_t.tolist() == r.tolist()
+    assert run.reached == reached
+
+
+_EMPTY_WINDOW = _net([(0, 1, 0.0, 9.0), (1, 2, 9.0, 9.0)], n=4)  # no event starts in steps 3..5
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=_traces(), start_step=st.integers(0, 20), horizon=st.integers(1, 20))
+@example(net=_EMPTY_WINDOW, start_step=3, horizon=3)
+@example(net=_net([(0, 1, 0.0, 2.1)], granularity=0.7), start_step=0, horizon=5)
+def test_per_step_expansion_matches_loop(net, start_step, horizon):
+    params = SirParams(0.5, 10.0, start_step, horizon)
+    steps, a, b = epidemic._window_events(net, params, per_step_contacts=True)
+    want = per_step_events(net, start_step, start_step + horizon)
+    for got, ref in zip((steps, a, b), want):
+        assert got.dtype == np.int64
+        assert got.tolist() == ref.tolist()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    net=_traces(),
+    p=st.sampled_from([0.0, 0.3, 1.0]),
+    recovery_mean=st.sampled_from([3.0, NO_RECOVERY, 1e-9]),
+    per_step=st.booleans(),
+    start_step=st.integers(0, 12),
+    horizon=st.integers(1, 25),
+    seed=st.integers(0, 2**16),
+)
+@example(net=_EMPTY_WINDOW, p=1.0, recovery_mean=3.0, per_step=False, start_step=3, horizon=3, seed=0)
+@example(net=_net([], n=3), p=1.0, recovery_mean=3.0, per_step=True, start_step=0, horizon=4, seed=0)
+def test_run_sir_matches_reference_walk(net, p, recovery_mean, per_step, start_step, horizon, seed):
+    params = SirParams(p, recovery_mean, start_step, horizon)
+    for node in range(net.n_nodes):
+        try:
+            ref = reference_sir_walk(net, node, params, derive_rng(seed, "eq", node), per_step)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                run_sir(net, node, params, derive_rng(seed, "eq", node), per_step_contacts=per_step)
+            return
+        _same_run(run_sir(net, node, params, derive_rng(seed, "eq", node), per_step_contacts=per_step), ref)
+
+
+def _walked_experiment(net, params, runs, seed, per_step):
+    """Curves of ``sir_experiment`` and the (visible_from, recovery_step)
+    arrays of its one walk over every (seed node, run) pair."""
+    walks = []
+    real = epidemic._walk
+
+    def spy(*args, **kwargs):
+        walks.append(real(*args, **kwargs))
+        return walks[-1]
+
+    with mock.patch.object(epidemic, "_walk", spy):
+        curves = sir_experiment(
+            net, params, runs_per_node=runs, bootstrap_resamples=7, seed=seed, per_step_contacts=per_step
+        )
+    assert len(walks) == 1
+    return curves, walks[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    net=_traces(),
+    p=st.sampled_from([0.0, 0.3, 1.0]),
+    recovery_mean=st.sampled_from([3.0, NO_RECOVERY, 1e-9]),
+    per_step=st.booleans(),
+    start_step=st.integers(0, 12),
+    horizon=st.integers(1, 25),
+    runs=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+@example(net=_EMPTY_WINDOW, p=1.0, recovery_mean=3.0, per_step=False, start_step=3, horizon=3, runs=2, seed=0)
+def test_sir_experiment_runs_match_reference_walk(net, p, recovery_mean, per_step, start_step, horizon, runs, seed):
+    params = SirParams(p, recovery_mean, start_step, horizon)
+    n = net.n_nodes
+    try:
+        reference_sir_walk(net, 0, params, derive_rng(seed, "sir", 0, 0), per_step)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            sir_experiment(net, params, runs_per_node=runs, seed=seed, per_step_contacts=per_step)
+        return
+    curves, (visible_from, recovery_step) = _walked_experiment(net, params, runs, seed, per_step)
+    ks = np.arange(horizon + 1)
+    for node in range(n):
+        traj = np.empty((runs, horizon + 1))
+        for r in range(runs):
+            s, i, rec, reached = reference_sir_walk(net, node, params, derive_rng(seed, "sir", node, r), per_step)
+            vf = visible_from[:, node * runs + r]
+            infected = vf < epidemic._BIG
+            rec_k = np.maximum(recovery_step[:, node * runs + r] - start_step, vf)
+            not_s = infected[:, None] & (vf[:, None] <= ks)
+            recovered = infected[:, None] & (rec_k[:, None] <= ks)
+            assert {int(v) for v in np.flatnonzero(infected)} == reached
+            assert (n - not_s.sum(axis=0)).tolist() == s.tolist()
+            assert (not_s & ~recovered).sum(axis=0).tolist() == i.tolist()
+            assert recovered.sum(axis=0).tolist() == rec.tolist()
+            traj[r] = s
+        boot_rng = derive_rng(seed, "sir-boot", node)
+        resampled = np.array([traj[boot_rng.integers(0, runs, runs)].mean(axis=0) for _ in range(7)])
+        assert np.array_equal(curves[node].s_of_t, traj.mean(axis=0))
+        lo_pct = 100.0 * (1.0 - 0.95) / 2.0
+        assert np.array_equal(curves[node].ci_low, np.percentile(resampled, lo_pct, axis=0))
+        assert np.array_equal(curves[node].ci_high, np.percentile(resampled, 100.0 - lo_pct, axis=0))
+
+
+@pytest.mark.parametrize("pairs_per_block", [1, 3])
+def test_pair_blocks_do_not_change_curves(pairs_per_block, monkeypatch):
+    # 8 nodes x 4 runs = 32 pairs: blocks of 1, and blocks of 3 with a
+    # short last block
+    net = gen_random_contacts(8, 0.1, 120, seed=11)
+    params = SirParams(0.5, 20.0, 10, 80)
+    n_events = len(epidemic._window_events(net, params, per_step_contacts=False)[0])
+    assert n_events * 32 <= epidemic._MASK_BUDGET  # the default walks one block
+    whole, walk = _walked_experiment(net, params, 4, 3, False)
+    monkeypatch.setattr(epidemic, "_MASK_BUDGET", pairs_per_block * n_events)
+    blocked, blocked_walk = _walked_experiment(net, params, 4, 3, False)
+    for a, b in zip(walk, blocked_walk):
+        assert np.array_equal(a, b)
+    for ca, cb in zip(whole, blocked):
+        assert np.array_equal(ca.s_of_t, cb.s_of_t)
+        assert np.array_equal(ca.ci_low, cb.ci_low)
+        assert np.array_equal(ca.ci_high, cb.ci_high)
+
+
+@pytest.mark.parametrize(
+    "granularity, params, per_step, curves_sha, ranking_sha",
+    [
+        (
+            1.0, SirParams(0.5, 20.0, 10, 120), False,
+            "8af5d088ec5229c1608b06ae5872392ea89b4a5c10527bd43d386f7d0aa34e9c",
+            "c155a99200b162609599fe53fe3e28511aa1765eb4c14cbb1dc00085d884137b",
+        ),
+        (
+            0.5, SirParams(0.3, 4.0, 20, 250), True,
+            "b65dc2820b06c99a096db2a52ac0a642d917e5913ab9694527e8fdcbccb94d86",
+            "2599936da3c029f5ad286f38c984bfb54fc44b861da43695f234c399fd966ec4",
+        ),
+    ],
+)
+def test_sir_output_pinned(granularity, params, per_step, curves_sha, ranking_sha, tmp_path):
+    # digests recorded with the run-by-run walk: a reordered random draw
+    # or a changed transmission rule changes them
+    base = gen_random_contacts(12, 0.1, 150, seed=3)
+    net = TemporalNetwork(n_nodes=base.n_nodes, events=base.events, granularity=granularity)
+    curves = sir_experiment(net, params, runs_per_node=4, bootstrap_resamples=20, seed=5, per_step_contacts=per_step)
+    write_curves_csv(curves, tmp_path / "curves.csv")
+    write_ranking_json(curves, net.n_nodes, tmp_path / "ranking.json")
+    assert hashlib.sha256((tmp_path / "curves.csv").read_bytes()).hexdigest() == curves_sha
+    assert hashlib.sha256((tmp_path / "ranking.json").read_bytes()).hexdigest() == ranking_sha
