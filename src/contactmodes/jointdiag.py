@@ -155,6 +155,61 @@ def _as_stack(matrices) -> np.ndarray:
     return stack
 
 
+def _gram_stack(batch) -> tuple[np.ndarray, np.ndarray, tuple] | None:
+    """Compress a batch whose trees use fewer distinct edges than there
+    are trees into the eigenmatrices of its edge co-occurrence Gram.
+
+    With B the M x E 0/1 tree-edge incidence and B^T B = V diag(lam) V^T,
+    the matrices K_j = sqrt(lam_j) sum_e V[e, j] S_e (S_e the symmetric
+    0/1 matrix of edge e) satisfy sum_j K_j (x) K_j = sum_i H_i (x) H_i
+    over the tree matrices H_i.  Every quantity a sweep reads (the angle
+    sums g00/g01/g11 and the off2 totals) is such a sum, so the sweeps
+    take the same steps on the r <= E matrices K_j as on the M trees.
+
+    Returns None when E >= M, where compression cannot shrink the stack;
+    otherwise the stack, the mean tree matrix (bit-identical to the mean
+    of the dense stack) and (B, edge ends) for :func:`_tree_diagonals`.
+    """
+    m_count, n = len(batch), batch.n_nodes
+    tree, child, par = batch.edge_arrays()
+    key = np.minimum(child, par) * n + np.maximum(child, par)
+    # a mask, not np.unique: its sort temporaries raise the peak RSS of a
+    # batch that then stays dense
+    used = np.zeros(n * n, dtype=bool)
+    used[key] = True
+    edge_ids = np.flatnonzero(used)
+    if len(edge_ids) >= m_count:
+        return None
+    edge_of = (np.cumsum(used) - 1)[key]
+    ends = np.divmod(edge_ids, n)
+    incidence = np.zeros((m_count, len(edge_ids)))
+    incidence[tree, edge_of] = 1.0
+    mean = np.zeros((n, n))
+    mean[ends] = mean[ends[::-1]] = incidence.sum(axis=0) / m_count
+    try:
+        lam, vecs = np.linalg.eigh(incidence.T @ incidence)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed on the edge Gram matrix: {exc}") from exc
+    # eigenvalues at round-off level (the Gram is singular when trees
+    # repeat) carry no mass; sqrt of a tiny negative one would be NaN
+    keep = lam > lam.max(initial=0.0) * len(lam) * np.finfo(float).eps
+    weights = (vecs[:, keep] * np.sqrt(lam[keep])).T
+    stack = np.zeros((len(weights), n, n))
+    stack[:, ends[0], ends[1]] = weights
+    stack[:, ends[1], ends[0]] = weights
+    return stack, mean, (incidence, ends)
+
+
+def _tree_diagonals(incidence, ends, u) -> tuple[np.ndarray, np.ndarray]:
+    """Each tree's projected diagonal diag(U^T H_i U) and its residual
+    off2, ||H_i||^2 - ||diag||^2, read from the incidence rows."""
+    diags = incidence @ (2.0 * u[ends[0]] * u[ends[1]])
+    fro2 = 2.0 * incidence.sum(axis=1)
+    # the subtraction cancels for nearly diagonal trees; clip its round-off
+    deviations = np.clip(fro2 - (diags * diags).sum(axis=1), 0.0, fro2)
+    return diags, deviations
+
+
 def _off2_by_matrix(stack: np.ndarray) -> np.ndarray:
     # zero the diagonals of a squared copy so the sum carries only
     # off-diagonal round-off, not cancellation against the diagonal mass
@@ -241,6 +296,14 @@ def joint_diagonalise(
 ) -> JdResult:
     """Simultaneously diagonalise a set of symmetric matrices.
 
+    A SampleBatch whose trees use fewer distinct edges than there are
+    trees is never densified: the sweeps run on the eigenmatrices of its
+    edge co-occurrence Gram instead (see :func:`_gram_stack`), with the
+    same history and, per tree, the same diagonals and deviations up to
+    round-off.  (Where a node symmetry of the batch swaps trees, the
+    objective has mirror-image minimisers and round-off picks one, so
+    only the multiset of deviations is determined, on either path.)
+
     Parameters
     ----------
     matrices : SampleBatch or sequence of SymMatrix / square arrays.
@@ -256,7 +319,12 @@ def joint_diagonalise(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    c = _as_stack(matrices)
+    gram = _gram_stack(matrices) if hasattr(matrices, "edge_arrays") else None
+    if gram is None:
+        c = _as_stack(matrices)
+        mean = c.mean(axis=0)
+    else:
+        c, mean, (incidence, ends) = gram
     m_count, n, _ = c.shape
 
     in_traces = np.einsum("mii->m", c)
@@ -275,7 +343,7 @@ def joint_diagonalise(
     # count sharply.  Adopted only when it does not raise the objective,
     # so the recorded history stays non-increasing from the input basis.
     try:
-        _, seed_basis = eig_sym(c.mean(axis=0))
+        _, seed_basis = eig_sym(mean)
         warm_u = seed_basis.values.copy()
         warm_c = np.einsum("ki,mkl,lj->mij", warm_u, c, warm_u, optimize=True)
         warm_off = float(_off2_by_matrix(warm_c).sum())
@@ -339,22 +407,25 @@ def joint_diagonalise(
     # similarity sanity: orthogonal conjugation preserves traces and norms
     out_traces = np.einsum("mii->m", c)
     out_fro2 = (c * c).sum(axis=(1, 2))
-    # written as "not within bound" so that a NaN drift fails them too
+    # written as "not within bound" so that a NaN drift fails them too; the
+    # initial values cover the empty Gram stack of a batch of lone roots
     scale = 1.0 + np.abs(in_traces)
-    if not np.abs(out_traces - in_traces).max(initial=0.0) <= 1e-8 * scale.max():
+    if not np.abs(out_traces - in_traces).max(initial=0.0) <= 1e-8 * scale.max(initial=1.0):
         raise ConvergenceError("trace drifted during joint diagonalisation")
-    if not np.abs(out_fro2 - in_fro2).max(initial=0.0) <= 1e-8 * (1.0 + in_fro2.max()):
+    if not np.abs(out_fro2 - in_fro2).max(initial=0.0) <= 1e-8 * (1.0 + in_fro2.max(initial=0.0)):
         raise ConvergenceError("Frobenius norm drifted during joint diagonalisation")
 
-    diags = np.einsum("mii->mi", c)
+    if gram is None:
+        diags = np.einsum("mii->mi", c)
+        deviations = _off2_by_matrix(c)
+    else:
+        diags, deviations = _tree_diagonals(incidence, ends, u)
     avg_diag = diags.mean(axis=0)
     order = np.argsort(-avg_diag, kind="stable")
     u = u[:, order]
     avg_diag = avg_diag[order]
     signs = np.where(u.sum(axis=0) < 0, -1.0, 1.0)
     u = u * signs
-
-    deviations = _off2_by_matrix(c)
 
     return JdResult(
         basis=OrthoBasis(u),

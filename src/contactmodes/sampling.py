@@ -8,6 +8,8 @@ generation order.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -74,17 +76,25 @@ class SampleBatch:
             nodes = (s.root, *s.parent, *s.parent.values())
             if min(nodes) < 0 or max(nodes) >= self.n_nodes:
                 raise ValueError(f"tree rooted at {s.root} names a node outside [0, {self.n_nodes})")
+            if any(map(operator.eq, s.parent, s.parent.values())):
+                raise ValueError(f"tree rooted at {s.root} makes a node its own parent")
 
     def __len__(self) -> int:
         return len(self.samples)
 
-    def matrices(self) -> np.ndarray:
-        """Dense 0/1 tree matrices, shape (M, n, n): the one place a tree
-        turns into an n x n matrix."""
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every tree edge of the batch as (tree, child, parent) index
+        arrays, trees in batch order."""
         n_edges = [len(s.parent) for s in self.samples]
         tree = np.repeat(np.arange(len(self.samples)), n_edges)
         child = np.fromiter((c for s in self.samples for c in s.parent), dtype=np.intp, count=len(tree))
         par = np.fromiter((p for s in self.samples for p in s.parent.values()), dtype=np.intp, count=len(tree))
+        return tree, child, par
+
+    def matrices(self) -> np.ndarray:
+        """Dense 0/1 tree matrices, shape (M, n, n): the one place a tree
+        turns into an n x n matrix."""
+        tree, child, par = self.edge_arrays()
         stack = np.zeros((len(self.samples), self.n_nodes, self.n_nodes))
         stack[tree, child, par] = 1.0
         stack[tree, par, child] = 1.0
@@ -302,6 +312,11 @@ def read_batch(path: str | Path) -> SampleBatch:
         t_max = float(meta["t_max"])
     except (KeyError, ValueError) as exc:
         raise BatchFormatError(f"bad batch metadata: {exc}", line=2) from None
+    if n_nodes < 1:
+        raise BatchFormatError(f"n_nodes={n_nodes} is not a positive node count", line=2)
+    # written as "not within bound" so that a NaN bound fails too
+    if not (math.isfinite(t_min) and math.isfinite(t_max) and t_min <= t_max):
+        raise BatchFormatError(f"time span t_min={t_min!r} t_max={t_max!r} is not a finite interval", line=2)
 
     samples: list[TreeSample] = []
     current: dict | None = None
@@ -345,17 +360,16 @@ def read_batch(path: str | Path) -> SampleBatch:
             if len(fields) != 4:
                 raise BatchFormatError("tree record needs root,start,partial", line=lineno)
             try:
-                current = {
-                    "root": int(fields[1]),
-                    "start": float(fields[2]),
-                    "partial": bool(int(fields[3])),
-                    "parent": {},
-                    "line": lineno,
-                }
+                root, start, flag = int(fields[1]), float(fields[2]), int(fields[3])
             except ValueError as exc:
                 raise BatchFormatError(f"bad tree record: {exc}", line=lineno) from None
-            if not 0 <= current["root"] < n_nodes:
-                raise BatchFormatError(f"root {current['root']} out of range [0, {n_nodes})", line=lineno)
+            if not 0 <= root < n_nodes:
+                raise BatchFormatError(f"root {root} out of range [0, {n_nodes})", line=lineno)
+            if not math.isfinite(start):
+                raise BatchFormatError(f"start time {start!r} is not finite", line=lineno)
+            if flag not in (0, 1):
+                raise BatchFormatError(f"partial flag {fields[3]!r} is neither 0 nor 1", line=lineno)
+            current = {"root": root, "start": start, "partial": bool(flag), "parent": {}, "line": lineno}
         elif fields[0] == "E":
             if current is None:
                 raise BatchFormatError("edge record before any tree record", line=lineno)

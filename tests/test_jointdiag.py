@@ -21,6 +21,7 @@ from contactmodes import (
 )
 from contactmodes import jointdiag as jd_mod
 from contactmodes.jointdiag import JdResult, OrthoBasis
+from contactmodes.network import ContactEvent, StaticGraph, TemporalNetwork
 from contactmodes.sampling import SampleBatch, TreeSample
 from oracles import brute_off2, brute_project
 
@@ -175,24 +176,158 @@ def test_jd_zero_diagonal_tree_matrices_converge():
 
 def test_jd_threaded_rounds_match_single_thread(monkeypatch):
     """Splitting the stack over worker threads changes no bit of the
-    result, even with more workers than cores and frequent switching."""
+    result, even with more workers than cores and frequent switching, on
+    a dense stack and on the Gram eigenmatrices of a batch."""
     rng = derive_rng(12, "jd-threads")
     stack = rng.standard_normal((37, 9, 9))
     stack = stack + stack.transpose(0, 2, 1)
-    single = joint_diagonalise(stack, tol=1e-12)
+    batch = sample_batch(_seven_node_graph(), 200, seed=5)
+    singles = [joint_diagonalise(x, tol=1e-12) for x in (stack, batch)]
     monkeypatch.setattr(jd_mod, "_ENTRIES_PER_THREAD", 1)
     monkeypatch.setattr(jd_mod.os, "cpu_count", lambda: 8)
     assert len(jd_mod._sample_chunks(37, 9)) == 8
+    assert len(jd_mod._sample_chunks(len(jd_mod._gram_stack(batch)[0]), batch.n_nodes)) == 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = joint_diagonalise(stack, tol=1e-12)
+        threads = [joint_diagonalise(x, tol=1e-12) for x in (stack, batch)]
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(threaded.basis.values, single.basis.values)
-    assert np.array_equal(threaded.deviations, single.deviations)
-    assert np.array_equal(threaded.off2_history, single.off2_history)
-    assert np.array_equal(threaded.avg_diag, single.avg_diag)
+    for threaded, single in zip(threads, singles):
+        assert np.array_equal(threaded.basis.values, single.basis.values)
+        assert np.array_equal(threaded.deviations, single.deviations)
+        assert np.array_equal(threaded.off2_history, single.off2_history)
+        assert np.array_equal(threaded.avg_diag, single.avg_diag)
+
+
+# ---------------------------------------------------------------------------
+# Gram-compressed path: a SampleBatch with fewer distinct edges than trees
+
+
+def _random_tree(draw, n):
+    """A tree on a random subset of the n nodes (a lone root included),
+    each node hung from an earlier one in a random order."""
+    order = draw(st.permutations(range(n)))
+    size = draw(st.integers(1, n))
+    parent = {order[i]: order[draw(st.integers(0, i - 1))] for i in range(1, size)}
+    return TreeSample(root=order[0], start_time=0.0, parent=parent, partial=size < n)
+
+
+@st.composite
+def _tree_batches(draw):
+    """Batches drawn with repetition from a small pool of trees, so most
+    use fewer distinct edges than they hold trees and their edge Gram is
+    singular; root-only and partial trees occur."""
+    n = draw(st.integers(2, 7))
+    pool = [_random_tree(draw, n) for _ in range(draw(st.integers(1, 6)))]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return SampleBatch(tuple(pool[i] for i in picks), n_nodes=n, seed=0)
+
+
+def _seven_node_graph():
+    return StaticGraph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5), (5, 6)])
+
+
+def _distinct_edges(batch):
+    return len({frozenset(e) for s in batch.samples for e in s.parent.items()})
+
+
+def _assert_matches_dense(batch, in_tree_order=True):
+    """The batch's result against the dense oracle: ndarray input never
+    takes the Gram path.  With ``in_tree_order`` false only the multiset
+    of deviations is compared (see the mirror-symmetric test below)."""
+    got = joint_diagonalise(batch)
+    want = joint_diagonalise(batch.matrices())
+    two_e = np.array([2.0 * s.n_edges for s in batch.samples])
+    assert len(got.off2_history) == len(want.off2_history)
+    assert np.abs(got.off2_history - want.off2_history).max() <= 1e-9 * max(want.off2_history[0], 1.0)
+    assert np.all(np.diff(got.off2_history) <= 0.0)
+    dev_got, dev_want = got.deviations, want.deviations
+    if not in_tree_order:
+        dev_got, dev_want = np.sort(dev_got), np.sort(dev_want)
+    assert np.abs(dev_got - dev_want).max() <= 1e-10 * np.maximum(two_e, 1.0).max()
+    assert np.all((got.deviations >= 0.0) & (got.deviations <= two_e))
+    assert np.abs(got.avg_diag - want.avg_diag).max() <= 1e-12
+    assert got.converged == want.converged
+    return got
+
+
+@given(_tree_batches())
+@settings(max_examples=150, deadline=None)
+def test_jd_gram_path_matches_dense(batch):
+    assert (jd_mod._gram_stack(batch) is None) == (_distinct_edges(batch) >= len(batch))
+    # small drawn batches can be mirror-symmetric, as below
+    _assert_matches_dense(batch, in_tree_order=False)
+
+
+def test_jd_gram_path_on_a_mirror_symmetric_batch():
+    """Swapping nodes 1 and 2 swaps the two trees of this batch, so the
+    off2 objective has two mirror-image minimisers that give the trees
+    each other's deviations, and round-off decides which one the sweeps
+    approach.  The history, avg_diag and the multiset of deviations are
+    the same for both."""
+    lone = TreeSample(root=0, start_time=0.0, parent={}, partial=True)
+    star = TreeSample(root=2, start_time=0.0, parent={0: 2, 1: 2})
+    path = TreeSample(root=0, start_time=0.0, parent={1: 0, 2: 1})
+    batch = SampleBatch((lone,) * 4 + (star, path), n_nodes=3, seed=0)
+    assert jd_mod._gram_stack(batch) is not None
+    _assert_matches_dense(batch, in_tree_order=False)
+
+
+def test_jd_gram_path_matches_dense_tree_by_tree():
+    # BFS trees of a static graph and flooding trees of a short trace (the
+    # late floods are partial), with far more trees than distinct edges
+    net = TemporalNetwork(
+        n_nodes=6,
+        events=tuple(ContactEvent(a, b, float(t), float(t)) for t, (a, b) in
+                     enumerate([(0, 1), (1, 2), (2, 3), (0, 4), (3, 4), (1, 4), (2, 5), (0, 1), (4, 5)] * 3)),
+        granularity=1.0,
+    )
+    floods = sample_batch(net, 300, seed=2)
+    assert any(s.partial for s in floods.samples)
+    for batch in (sample_batch(_seven_node_graph(), 300, seed=1), floods):
+        assert jd_mod._gram_stack(batch) is not None
+        _assert_matches_dense(batch)
+
+
+def test_jd_gram_stack_carries_the_dense_mean_and_norms():
+    batch = sample_batch(_seven_node_graph(), 60, seed=4)
+    stack, mean, (incidence, ends) = jd_mod._gram_stack(batch)
+    dense = batch.matrices()
+    assert incidence.shape == (60, _distinct_edges(batch)) and len(stack) <= incidence.shape[1]
+    assert np.array_equal(mean, dense.mean(axis=0))
+    # every quadratic quantity of the sweeps: sum_j K_j (x) K_j = sum_i H_i (x) H_i
+    assert np.allclose(np.einsum("jab,jcd->abcd", stack, stack), np.einsum("iab,icd->abcd", dense, dense),
+                       atol=1e-12)
+
+
+def test_jd_repeated_tree_has_zero_deviations():
+    tree = TreeSample(root=0, start_time=0.0, parent={1: 0, 2: 1, 3: 1, 4: 3})
+    batch = SampleBatch((tree,) * 9, n_nodes=5, seed=0)
+    stack, _, _ = jd_mod._gram_stack(batch)
+    assert len(stack) == 1  # the Gram 9 * ones(4, 4) has rank one
+    res = _assert_matches_dense(batch)
+    assert np.all(res.deviations >= 0.0)
+    assert res.deviations.max() <= 1e-12
+
+
+@pytest.mark.parametrize("trees", [10, 9], ids=["edges-one-below-trees", "edges-equal-trees"])
+def test_jd_path_switches_where_edges_reach_trees(trees):
+    # a path 0-1-2-3-4-5 and the star around node 0 share one edge: 9 edges
+    path = TreeSample(root=0, start_time=0.0, parent={i + 1: i for i in range(5)})
+    star = TreeSample(root=0, start_time=0.0, parent={i: 0 for i in range(1, 6)})
+    batch = SampleBatch((path, star) + (path,) * (trees - 2), n_nodes=6, seed=0)
+    assert _distinct_edges(batch) == 9
+    if trees > 9:
+        assert jd_mod._gram_stack(batch) is not None
+        _assert_matches_dense(batch)
+        return
+    # with as many edges as trees the batch is densified, bit for bit
+    assert jd_mod._gram_stack(batch) is None
+    got, want = joint_diagonalise(batch), joint_diagonalise(batch.matrices())
+    for field in ("avg_diag", "deviations", "off2_history"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert np.array_equal(got.basis.values, want.basis.values)
 
 
 def test_jd_unconverged_flag_and_force():

@@ -335,6 +335,25 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_and_gram_path_load_no_scipy():
+    # every scipy import lands in setup or wall time; neither the package
+    # import nor a Gram-compressed joint diagonalisation needs one
+    src = str(Path(contactmodes.__file__).resolve().parent.parent)
+    code = (
+        "import sys, contactmodes as cm\n"
+        "from contactmodes import jointdiag\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "g = cm.StaticGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])\n"
+        "batch = cm.sample_batch(g, 40, seed=0)\n"
+        "assert jointdiag._gram_stack(batch) is not None\n"
+        "cm.joint_diagonalise(batch)\n"
+        "print(loaded, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[] []"
+
+
 def test_per_mode_reconstruction_rejects_mismatched_model():
     batch = _two_mode_batch()
     model = fit_gmm_1d(np.arange(5.0), k=1)

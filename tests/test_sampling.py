@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -320,6 +321,106 @@ def test_read_batch_accepts_consistent_partial_flags(tmp_path):
     assert [s.reached for s in batch.samples] == [{0, 1, 2}, {2}, {0, 1}]
 
 
+_SPAN = "n_nodes=3 seed=0 kind=temporal t_min=0.0 t_max=9.0"
+
+
+@pytest.mark.parametrize(
+    "meta, body, line, message",
+    [
+        ("n_nodes=3 seed=0 kind=temporal t_min=nan t_max=9.0", "", 2, "not a finite interval"),
+        ("n_nodes=3 seed=0 kind=temporal t_min=0.0 t_max=inf", "", 2, "not a finite interval"),
+        ("n_nodes=3 seed=0 kind=temporal t_min=9.0 t_max=0.0", "", 2, "not a finite interval"),
+        ("n_nodes=0 seed=0 kind=static t_min=0.0 t_max=0.0", "", 2, "not a positive node count"),
+        (_SPAN, "T,0,nan,1\n", 3, "start time nan is not finite"),
+        (_SPAN, "T,0,1.0,0\nE,0,1\nE,1,2\nT,0,-inf,1\n", 6, "start time -inf"),
+        (_SPAN, "T,0,1.0,2\n", 3, "partial flag '2' is neither 0 nor 1"),
+        (_SPAN, "T,0,1.0,-1\nE,0,1\n", 3, "partial flag '-1'"),
+    ],
+    ids=["nan-t-min", "inf-t-max", "reversed-span", "no-nodes", "nan-start", "inf-start-second-tree", "flag-2",
+         "flag-minus-1"],
+)
+def test_read_batch_rejects_non_finite_times_and_bad_flags(tmp_path, meta, body, line, message):
+    p = tmp_path / "bad.txt"
+    p.write_text(f"#contactmodes-batch v1\n#{meta} detail=x\n{body}")
+    with pytest.raises(BatchFormatError, match=message) as exc:
+        read_batch(p)
+    assert exc.value.line == line
+
+
+# A valid batch file, then one corruption of one kind at one record; the
+# reader must name that record's line in a BatchFormatError and raise
+# nothing else.  Candidate values are drawn so that the corruption cannot
+# leave a valid file behind.
+_NOT_A_NUMBER = ["x", "", "--2", "1e", "0x1f", "one", "1;"]
+_NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity"]
+
+
+def _corrupt(data, lines, n):
+    """Return the corrupted lines and the line number the error must name."""
+    records = [i for i, line in enumerate(lines) if i >= 2]
+    trees = [i for i in records if lines[i].startswith("T,")]
+    edges = [i for i in records if lines[i].startswith("E,")]
+    kind = data.draw(st.sampled_from(
+        ["truncate", "non-numeric", "node-out-of-range", "non-finite-time", "bad-flag"] + (["two-parents"] if edges else [])
+    ))
+    lines = list(lines)
+    if kind == "two-parents":
+        i = data.draw(st.sampled_from(edges))
+        child = lines[i].split(",")[2]
+        lines.insert(i + 1, f"E,{data.draw(st.integers(0, n - 1))},{child}")
+        return lines, i + 2
+    if kind in ("non-finite-time", "non-numeric") and data.draw(st.booleans()):
+        # the metadata line: a required value made non-numeric or non-finite
+        keys = ["t_min", "t_max"] if kind == "non-finite-time" else ["n_nodes", "seed", "t_min", "t_max"]
+        key = data.draw(st.sampled_from(keys))
+        value = data.draw(st.sampled_from(_NON_FINITE if kind == "non-finite-time" else _NOT_A_NUMBER))
+        lines[1] = re.sub(rf"(?<=\b{key}=)\S*", value, lines[1], count=1)
+        return lines, 2
+    i = data.draw(st.sampled_from(trees if kind in ("non-finite-time", "bad-flag") else records))
+    fields = lines[i].split(",")
+    if kind == "truncate":
+        keep = data.draw(st.integers(1, len(fields) - 1))
+        lines[i] = ",".join(fields[:keep]) + data.draw(st.sampled_from(["", ","]))
+    elif kind == "non-numeric":
+        j = data.draw(st.integers(1, len(fields) - 1))
+        floaty = fields[0] == "T" and j == 2
+        fields[j] = data.draw(st.sampled_from(_NOT_A_NUMBER + ([] if floaty else ["1.5", "nan", "inf"])))
+        lines[i] = ",".join(fields)
+    elif kind == "node-out-of-range":
+        j = 1 if fields[0] == "T" else data.draw(st.integers(1, 2))
+        fields[j] = str(data.draw(st.sampled_from([-1, n, n + 7, -n - 2])))
+        lines[i] = ",".join(fields)
+    elif kind == "non-finite-time":
+        fields[2] = data.draw(st.sampled_from(_NON_FINITE))
+        lines[i] = ",".join(fields)
+    else:  # bad-flag
+        fields[3] = str(data.draw(st.sampled_from([2, 3, -1, 10])))
+        lines[i] = ",".join(fields)
+    return lines, i + 1
+
+
+@given(st.integers(1, 6), st.integers(0, 2**31 - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_read_batch_names_the_line_of_any_corruption(m, seed, data):
+    # late floods on this trace are partial, some of them a lone root
+    events = [(i % 3, 3 + (i % 2), float(i), float(i)) for i in range(12)]
+    batch = sample_batch(_temporal(events, n=5), m, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "batch.txt"
+        write_batch(batch, path)
+        lines = path.read_text().splitlines()
+        again = read_batch(path)
+        assert [(s.root, s.start_time, s.partial, dict(s.parent)) for s in again.samples] == [
+            (s.root, s.start_time, s.partial, dict(s.parent)) for s in batch.samples
+        ]
+        bad, line = _corrupt(data, lines, batch.n_nodes)
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(BatchFormatError) as exc:
+            read_batch(path)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: ")
+
+
 # ---------------------------------------------------------------------------
 # Trees as parent maps, dense only on demand
 
@@ -405,6 +506,13 @@ def test_batch_rejects_out_of_range_nodes(root, parent):
     bad = TreeSample(root=root, start_time=1.0, parent=parent, partial=True)
     with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
         SampleBatch(samples=(ok, bad), n_nodes=3, seed=0)
+
+
+def test_batch_rejects_a_node_that_is_its_own_parent():
+    # the dense matrix would put a 1 on its diagonal, which no tree has
+    loop = TreeSample(root=0, start_time=0.0, parent={1: 0, 2: 2}, partial=True)
+    with pytest.raises(ValueError, match="its own parent"):
+        SampleBatch(samples=(loop,), n_nodes=3, seed=0)
 
 
 def test_tree_sample_takes_keywords_only():
