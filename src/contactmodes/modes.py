@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from queue import SimpleQueue
 from typing import Sequence
 
 import numpy as np
@@ -61,7 +64,8 @@ class ModeModel:
     assignments cover: in :func:`fit_batch_modes` (and so in
     :func:`decompose`) they cover the complete trees only.
     ``bic_table`` is filled by :func:`select_modes` with the best BIC per
-    candidate k.
+    candidate k, and ``em_iterations`` with the M-step count of every EM
+    restart per candidate k >= 2, as ``(k, (count per restart, ...))``.
     """
 
     components: tuple[GaussComponent, ...]
@@ -70,6 +74,7 @@ class ModeModel:
     bic: float
     log_likelihood: float
     bic_table: tuple[tuple[int, float], ...] | None = None
+    em_iterations: tuple[tuple[int, tuple[int, ...]], ...] | None = None
 
     def __post_init__(self):
         resp = np.asarray(self.responsibilities, dtype=float)
@@ -106,8 +111,8 @@ class ModeModel:
     def assign(self, values) -> "ModeModel":
         """The same fitted mixture with responsibilities and hard
         assignments computed for ``values`` by the posterior rule; the
-        fit statistics (``bic``, ``log_likelihood``, ``bic_table``) are
-        kept as they are."""
+        fit statistics (``bic``, ``log_likelihood``, ``bic_table``,
+        ``em_iterations``) are kept as they are."""
         x = np.asarray(values, dtype=float).ravel()
         if not np.all(np.isfinite(x)):
             raise ValueError("values must be finite")
@@ -129,21 +134,27 @@ def _variance_floor(x: np.ndarray) -> float:
     return 1e-12
 
 
-def _log_joint(x, weights, means, variances):
+def _log_joint(x, weights, means, variances, out=None):
     # (R, K, M) array of log(w_rj) + log N(x_i; mu_rj, var_rj) for R
-    # parameter sets given as (R, K) arrays; samples run along the last,
-    # contiguous axis so reductions over the few components stay fast
-    diff2 = (x[None, None, :] - means[:, :, None]) ** 2
-    return np.log(weights)[:, :, None] - 0.5 * (
-        np.log(2.0 * math.pi * variances)[:, :, None] + diff2 / variances[:, :, None]
-    )
+    # parameter sets given as (R, K) arrays, written into ``out`` when
+    # given; samples run along the last, contiguous axis so reductions
+    # over the few components stay fast.  The ufuncs run in the order of
+    # log(w) - 0.5 * (log(2 pi var) + (x - mu)**2 / var), in place
+    lp = np.subtract(x, means[:, :, None], out=out)
+    np.square(lp, out=lp)
+    np.divide(lp, variances[:, :, None], out=lp)
+    np.add(np.log(2.0 * math.pi * variances)[:, :, None], lp, out=lp)
+    np.multiply(0.5, lp, out=lp)
+    return np.subtract(np.log(weights)[:, :, None], lp, out=lp)
 
 
-def _log_norm(lp):
+def _log_norm(lp, scratch=None):
     # log-sum-exp over the component axis (second to last), shifted by
-    # the per-sample maximum
+    # the per-sample maximum; ``scratch`` (shaped like ``lp``) takes the
+    # shifted exponentials when given
     top = lp.max(axis=-2)
-    return top + np.log(np.exp(lp - top[..., None, :]).sum(axis=-2))
+    shifted = np.subtract(lp, top[..., None, :], out=scratch)
+    return top + np.log(np.exp(shifted, out=shifted).sum(axis=-2))
 
 
 def _kmeanspp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -178,15 +189,24 @@ def _closed_form_k1(x: np.ndarray) -> ModeModel:
     )
 
 
-def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol: float) -> tuple:
+def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol: float, work=None) -> tuple:
     """Run one EM per seed (k >= 2), all of them as a single batched EM.
 
     Each restart starts from its own seeded k-means++ initialisation and
     stops on its own convergence test; a stopped restart is frozen while
-    the others go on.  Returns ``(weights, means, variances, resp, ll)``
-    with a leading restart axis; ``resp`` (shape (R, k, M)) is each
-    restart's last E-step, made on the returned parameters: a restart
-    that reaches ``max_iter`` M-steps gets one more E-step to match.
+    the others go on.  Returns ``(weights, means, variances, resp, ll,
+    iterations)`` with a leading restart axis; ``resp`` (shape (R, k, M))
+    is each restart's last E-step, made on the returned parameters: a
+    restart that reaches ``max_iter`` M-steps gets one more E-step to
+    match.  ``iterations`` counts each restart's M-steps.
+
+    The two (R, k, M) work arrays, ``resp`` and the log-joint, are
+    allocated once, or taken from ``work`` (a flat float array of at
+    least 2 R k M entries, which ``resp`` then views); while every restart
+    is active they are used whole, so no iteration allocates, gathers or
+    scatters one.  Once some restart has stopped, the active ones work in
+    the leading rows of the log-joint array and gather and scatter their
+    responsibilities.
     """
     m = len(x)
     r_count = len(seeds)
@@ -211,31 +231,47 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
     weights /= weights.sum(axis=1, keepdims=True)
 
     ll = np.full(r_count, -math.inf)
-    resp = np.empty((r_count, k, m))
+    iterations = np.zeros(r_count, dtype=int)
+    size = r_count * k * m
+    if work is None:
+        work = np.empty(2 * size)
+    resp = work[:size].reshape(r_count, k, m)
+    lp_buf = work[size : 2 * size].reshape(r_count, k, m)
     active = np.arange(r_count)
     for it in range(max_iter + 1):
-        lp = _log_joint(x, weights[active], means[active], variances[active])
-        norm = _log_norm(lp)
+        a = len(active)
+        lp = _log_joint(x, weights[active], means[active], variances[active], out=lp_buf[:a])
+        # the previous responsibilities are spent, so ``resp`` is the
+        # scratch of the log-sum-exp until some restart has stopped
+        ra = resp if a == r_count else np.empty_like(lp)
+        norm = _log_norm(lp, ra)
         new_ll = norm.sum(axis=1)
-        resp[active] = np.exp(lp - norm[:, None, :])
+        np.exp(np.subtract(lp, norm[:, None, :], out=ra), out=ra)
+        if a < r_count:
+            resp[active] = ra
         old_ll = ll[active]
         if np.any(new_ll < old_ll - 1e-9 * (1.0 + np.abs(old_ll))):
             raise ConvergenceError("EM log-likelihood decreased")
         ll[active] = new_ll
-        active = active[~(new_ll - old_ll < tol * (1.0 + np.abs(new_ll)))]
+        going = ~(new_ll - old_ll < tol * (1.0 + np.abs(new_ll)))
+        active = active[going]
         if len(active) == 0 or it == max_iter:
             break
-        ra = resp[active]
+        if len(active) < a:
+            ra = ra[going]
+        iterations[active] += 1
         nk = np.maximum(ra.sum(axis=2), 1e-300)
         weights[active] = nk / m
         mu = (ra @ x) / nk
         means[active] = mu
-        variances[active] = np.maximum(((x[None, None, :] - mu[:, :, None]) ** 2 * ra).sum(axis=2) / nk, floor)
-    return weights, means, variances, resp, ll
+        sq = np.subtract(x, mu[:, :, None], out=lp_buf[: len(active)])
+        np.multiply(np.square(sq, out=sq), ra, out=sq)
+        variances[active] = np.maximum(sq.sum(axis=2) / nk, floor)
+    return weights, means, variances, resp, ll, iterations
 
 
 def _restart_model(x: np.ndarray, k: int, fit: tuple, r: int) -> ModeModel:
-    weights, means, variances, resp, ll = fit
+    weights, means, variances, resp, ll, _ = fit
     components = tuple(
         GaussComponent(float(w), float(mu), float(v)) for w, mu, v in zip(weights[r], means[r], variances[r])
     )
@@ -280,6 +316,52 @@ def _restart_seed(seed: int, k: int, restart: int) -> int:
     return int(derive_seed_sequence(seed, "mode-restart", k, restart).generate_state(1)[0])
 
 
+def _best_restart(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol: float, work=None) -> tuple:
+    """EM restarts for one k; returns the minimum-BIC restart's model and
+    index (the lowest index on ties) and every restart's M-step count,
+    none of which refers to the (R, k, M) work arrays."""
+    fit = _em_restarts(x, k, seeds, max_iter, tol, work)
+    r = int(np.argmin(_bic(k, len(x), fit[4])))
+    return _restart_model(x, k, fit, r), r, tuple(int(i) for i in fit[5])
+
+
+def _fit_each_k(x: np.ndarray, seeds: dict, max_iter: int, tol: float) -> dict:
+    """:func:`_best_restart` for every k of ``seeds`` (k -> restart
+    seeds), on at most ``os.cpu_count()`` threads, largest k first so
+    the threads finish together.  Returns k -> fit in k order.  The fits
+    are independent and deterministic, and an error raised by a fit is
+    raised for the lowest k that raised one, so neither the result nor
+    the error depends on the thread count or schedule.
+
+    Each thread works in one of ``workers`` work arrays allocated here,
+    in the calling thread: memory a worker thread allocates goes to a
+    per-thread malloc arena, which keeps it from the rest of the run.
+    """
+    workers = min(os.cpu_count() or 1, len(seeds))
+    if workers <= 1:
+        return {k: _best_restart(x, k, seeds[k], max_iter, tol) for k in sorted(seeds)}
+    size = 2 * max(len(s) for s in seeds.values()) * max(seeds) * len(x)
+    spare = SimpleQueue()
+    for _ in range(workers):
+        spare.put(np.empty(size))
+
+    def fit(k):
+        work = spare.get()
+        try:
+            return _best_restart(x, k, seeds[k], max_iter, tol, work)
+        finally:
+            spare.put(work)
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = {k: pool.submit(fit, k) for k in sorted(seeds, reverse=True)}
+        try:
+            return {k: futures[k].result() for k in sorted(seeds)}
+        except BaseException:
+            for future in futures.values():
+                future.cancel()
+            raise
+
+
 def select_modes(
     deltas,
     k_max: int = 8,
@@ -291,10 +373,12 @@ def select_modes(
     """Fit mixtures for k = 1..k_max and keep the minimum-BIC model.
 
     Each k gets ``n_restarts`` independently seeded EM runs, fitted
-    together; ties are broken lexicographically on (BIC, k, restart
+    together; the k are fitted concurrently on at most
+    ``os.cpu_count()`` threads, and the output does not depend on the
+    thread count.  Ties are broken lexicographically on (BIC, k, restart
     index) so the selection is deterministic.  k is silently capped at
     the number of distinct values.  The returned model carries the per-k
-    best-BIC table.
+    best-BIC table and the M-step count of every restart.
     """
     x = np.asarray(deltas, dtype=float).ravel()
     if k_max < 1:
@@ -306,20 +390,18 @@ def select_modes(
     if not np.all(np.isfinite(x)):
         raise ValueError("deltas must be finite")
     k_cap = min(k_max, int(np.unique(x).size), len(x))
+    seeds = {k: [_restart_seed(seed, k, r) for r in range(n_restarts)] for k in range(2, k_cap + 1)}
+    fits = _fit_each_k(x, seeds, max_iter, tol)
 
     best = _closed_form_k1(x)
     best_key = (best.bic, 1, 0)
     table = [(1, best.bic)]
-    for k in range(2, k_cap + 1):
-        seeds = [_restart_seed(seed, k, r) for r in range(n_restarts)]
-        fit = _em_restarts(x, k, seeds, max_iter, tol)
-        bics = _bic(k, len(x), fit[4])
-        r = int(np.argmin(bics))  # first minimum: lowest restart index on ties
-        key = (float(bics[r]), k, r)
-        if key < best_key:
-            best, best_key = _restart_model(x, k, fit, r), key
-        table.append((k, float(bics[r])))
-    return replace(best, bic_table=tuple(table))
+    for k, (model, r, _) in fits.items():
+        if (model.bic, k, r) < best_key:
+            best, best_key = model, (model.bic, k, r)
+        table.append((k, model.bic))
+    iterations = tuple((k, counts) for k, (_, _, counts) in fits.items())
+    return replace(best, bic_table=tuple(table), em_iterations=iterations)
 
 
 @dataclass(frozen=True)
@@ -662,6 +744,7 @@ def write_report(report: ModeReport, directory) -> list:
             {"weight": c.weight, "mean": c.mean, "variance": c.variance} for c in report.model.components
         ],
         "bic_table": [[k, bic] for k, bic in (report.model.bic_table or ())],
+        "em_iterations": [[k, list(counts)] for k, counts in (report.model.em_iterations or ())],
         "bin_edges": [float(e) for e in report.histogram.bin_edges],
         "modes": [
             {

@@ -9,8 +9,21 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
+
+from contactmodes.errors import ConvergenceError
+from contactmodes.modes import (
+    GaussComponent,
+    ModeModel,
+    _bic,
+    _closed_form_k1,
+    _kmeanspp_centers,
+    _restart_seed,
+    _variance_floor,
+)
+from contactmodes.seeds import derive_rng
 
 
 def brute_off2(m) -> float:
@@ -304,3 +317,107 @@ def reference_sir_walk(net, seed_node: int, params, rng, per_step_contacts: bool
     i_of_t = (not_s & ~recovered).sum(axis=0)
     r_of_t = recovered.sum(axis=0)
     return s_of_t, i_of_t, r_of_t, frozenset(int(v) for v in np.flatnonzero(infected_ever))
+
+
+def _reference_log_joint(x, weights, means, variances):
+    diff2 = (x[None, None, :] - means[:, :, None]) ** 2
+    return np.log(weights)[:, :, None] - 0.5 * (
+        np.log(2.0 * math.pi * variances)[:, :, None] + diff2 / variances[:, :, None]
+    )
+
+
+def _reference_log_norm(lp):
+    top = lp.max(axis=-2)
+    return top + np.log(np.exp(lp - top[..., None, :]).sum(axis=-2))
+
+
+def reference_em_restarts(x, k: int, seeds, max_iter: int, tol: float) -> tuple:
+    """Batched EM over the restarts as each iteration's plain array
+    expressions, gathering and scattering the active restarts on every
+    iteration; returns ``(weights, means, variances, resp, ll)``."""
+    m = len(x)
+    r_count = len(seeds)
+    floor = _variance_floor(x)
+    global_var = max(float(np.var(x)), floor)
+    weights = np.empty((r_count, k))
+    means = np.empty((r_count, k))
+    variances = np.empty((r_count, k))
+    for r, seed in enumerate(seeds):
+        centers = _kmeanspp_centers(x, k, derive_rng(seed, "gmm-init", k))
+        hard = np.argmin((x[:, None] - centers[None, :]) ** 2, axis=1)
+        for j in range(k):
+            sel = x[hard == j]
+            if len(sel) == 0:
+                weights[r, j] = 1.0 / m
+                means[r, j] = centers[j]
+                variances[r, j] = global_var
+            else:
+                weights[r, j] = len(sel) / m
+                means[r, j] = sel.mean()
+                variances[r, j] = max(float(np.var(sel)), floor)
+    weights /= weights.sum(axis=1, keepdims=True)
+
+    ll = np.full(r_count, -math.inf)
+    resp = np.empty((r_count, k, m))
+    active = np.arange(r_count)
+    for it in range(max_iter + 1):
+        lp = _reference_log_joint(x, weights[active], means[active], variances[active])
+        norm = _reference_log_norm(lp)
+        new_ll = norm.sum(axis=1)
+        resp[active] = np.exp(lp - norm[:, None, :])
+        old_ll = ll[active]
+        if np.any(new_ll < old_ll - 1e-9 * (1.0 + np.abs(old_ll))):
+            raise ConvergenceError("EM log-likelihood decreased")
+        ll[active] = new_ll
+        active = active[~(new_ll - old_ll < tol * (1.0 + np.abs(new_ll)))]
+        if len(active) == 0 or it == max_iter:
+            break
+        ra = resp[active]
+        nk = np.maximum(ra.sum(axis=2), 1e-300)
+        weights[active] = nk / m
+        mu = (ra @ x) / nk
+        means[active] = mu
+        variances[active] = np.maximum(((x[None, None, :] - mu[:, :, None]) ** 2 * ra).sum(axis=2) / nk, floor)
+    return weights, means, variances, resp, ll
+
+
+def _reference_restart_model(x, k: int, fit: tuple, r: int):
+    weights, means, variances, resp, ll = fit
+    components = tuple(
+        GaussComponent(float(w), float(mu), float(v)) for w, mu, v in zip(weights[r], means[r], variances[r])
+    )
+    return ModeModel(
+        components=components,
+        assignments=resp[r].argmax(axis=0),
+        responsibilities=resp[r].T,
+        bic=_bic(k, len(x), float(ll[r])),
+        log_likelihood=float(ll[r]),
+    )
+
+
+def reference_fit_gmm_1d(deltas, k: int, seed: int = 0, max_iter: int = 200, tol: float = 1e-8):
+    """``fit_gmm_1d`` on :func:`reference_em_restarts` (k >= 2)."""
+    x = np.asarray(deltas, dtype=float).ravel()
+    return _reference_restart_model(x, k, reference_em_restarts(x, k, [seed], max_iter, tol), 0)
+
+
+def reference_select_modes(deltas, k_max: int = 8, seed: int = 0, n_restarts: int = 10, max_iter: int = 200,
+                           tol: float = 1e-8):
+    """Minimum-BIC mixture over k = 1..k_max, fitting one k after the
+    other on :func:`reference_em_restarts`, ties broken on (BIC, k,
+    restart index)."""
+    x = np.asarray(deltas, dtype=float).ravel()
+    k_cap = min(k_max, int(np.unique(x).size), len(x))
+    best = _closed_form_k1(x)
+    best_key = (best.bic, 1, 0)
+    table = [(1, best.bic)]
+    for k in range(2, k_cap + 1):
+        seeds = [_restart_seed(seed, k, r) for r in range(n_restarts)]
+        fit = reference_em_restarts(x, k, seeds, max_iter, tol)
+        bics = _bic(k, len(x), fit[4])
+        r = int(np.argmin(bics))  # first minimum: lowest restart index on ties
+        key = (float(bics[r]), k, r)
+        if key < best_key:
+            best, best_key = _reference_restart_model(x, k, fit, r), key
+        table.append((k, float(bics[r])))
+    return replace(best, bic_table=tuple(table))

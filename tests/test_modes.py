@@ -3,11 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import contactmodes
@@ -28,7 +31,7 @@ from contactmodes import modes as modes_mod
 from contactmodes.jointdiag import JdResult
 from contactmodes.modes import gamma_moment_fit, write_report
 from contactmodes.sampling import SampleBatch, SourceInfo, TreeSample
-from oracles import count_density_modes
+from oracles import count_density_modes, reference_fit_gmm_1d, reference_select_modes
 
 
 def _tree_sample(parent, root=0, start=0.0):
@@ -157,6 +160,144 @@ def test_select_modes_deterministic():
     b = select_modes(x, k_max=4, seed=9)
     assert a.components == b.components
     assert a.bic_table == b.bic_table
+
+
+def _same_model(got, want):
+    assert got.components == want.components
+    assert got.bic_table == want.bic_table
+    assert got.bic == want.bic
+    assert got.log_likelihood == want.log_likelihood
+    assert np.array_equal(got.responsibilities, want.responsibilities)
+    assert np.array_equal(got.assignments, want.assignments)
+
+
+@st.composite
+def _mixture_samples(draw):
+    """Draws from a few Gaussians, optionally rounded (exact ties) and
+    with spikes of one repeated value, so that some samples hold fewer
+    distinct values than k_max."""
+    rng = derive_rng(draw(st.integers(0, 2**31 - 1)), "em-oracle")
+    parts = [
+        rng.normal(draw(st.floats(-20.0, 20.0)), draw(st.floats(0.05, 5.0)), draw(st.integers(1, 120)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    parts += [np.full(draw(st.integers(1, 40)), draw(st.floats(-20.0, 20.0))) for _ in range(draw(st.integers(0, 3)))]
+    x = np.concatenate(parts)
+    if draw(st.booleans()):
+        x = np.round(x, draw(st.integers(-1, 1)))
+    return rng.permutation(x)
+
+
+# small max_iter and large tol stop the restarts at different iterations
+_EM_STOPS = st.one_of(
+    st.tuples(st.integers(1, 12), st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4])),
+    st.just((200, 1e-8)),
+)
+
+
+@given(_mixture_samples(), st.integers(1, 8), st.integers(1, 12), st.integers(0, 2**16), _EM_STOPS)
+@settings(max_examples=60, deadline=None)
+def test_select_modes_matches_reference_bit_for_bit(x, k_max, n_restarts, seed, stops):
+    max_iter, tol = stops
+    kwargs = dict(k_max=k_max, seed=seed, n_restarts=n_restarts, max_iter=max_iter, tol=tol)
+    try:
+        want = reference_select_modes(x, **kwargs)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError, match=str(exc)):
+            select_modes(x, **kwargs)
+        return
+    got = select_modes(x, **kwargs)
+    _same_model(got, want)
+    assert [k for k, _ in got.em_iterations] == [k for k, _ in got.bic_table[1:]]
+
+
+@given(_mixture_samples(), st.integers(2, 8), st.integers(0, 2**16), _EM_STOPS)
+@settings(max_examples=40, deadline=None)
+def test_fit_gmm_matches_reference_bit_for_bit(x, k, seed, stops):
+    k = min(k, int(np.unique(x).size))
+    if k < 2:
+        return
+    max_iter, tol = stops
+    try:
+        want = reference_fit_gmm_1d(x, k, seed=seed, max_iter=max_iter, tol=tol)
+    except ConvergenceError as exc:
+        with pytest.raises(ConvergenceError, match=str(exc)):
+            fit_gmm_1d(x, k, seed=seed, max_iter=max_iter, tol=tol)
+        return
+    _same_model(fit_gmm_1d(x, k, seed=seed, max_iter=max_iter, tol=tol), want)
+
+
+def _three_bumps():
+    rng = derive_rng(6, "em-threads")
+    return np.concatenate([rng.normal(0.0, 1.0, 150), rng.normal(4.0, 0.7, 100), rng.normal(9.0, 1.5, 80)])
+
+
+def test_select_modes_threaded_k_match_one_thread(monkeypatch):
+    """Fitting the k on worker threads changes no bit of the result, even
+    with more workers than cores and frequent switching."""
+    x = _three_bumps()
+    seen = set()
+    real = modes_mod._em_restarts
+
+    def spy(*args):
+        seen.add(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(modes_mod, "_em_restarts", spy)
+    monkeypatch.setattr(modes_mod.os, "cpu_count", lambda: 1)
+    single = select_modes(x, k_max=8, seed=2, max_iter=60)
+    assert seen == {threading.get_ident()}
+    monkeypatch.setattr(modes_mod.os, "cpu_count", lambda: 8)
+    seen.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = select_modes(x, k_max=8, seed=2, max_iter=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.get_ident() not in seen and len(seen) > 1
+    _same_model(threaded, single)
+    assert threaded.em_iterations == single.em_iterations
+    _same_model(single, reference_select_modes(x, k_max=8, seed=2, max_iter=60))
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_select_modes_raises_the_lowest_failing_k(monkeypatch, cpus):
+    """An error raised in a k's fit leaves ``select_modes`` as the same
+    object, the lowest failing k's whatever the schedule, and no worker
+    thread outlives the call."""
+    errors = {3: ConvergenceError("EM log-likelihood decreased"), 6: ConvergenceError("EM log-likelihood decreased")}
+    real = modes_mod._em_restarts
+
+    def failing(x, k, *args):
+        if k in errors:
+            raise errors[k]
+        return real(x, k, *args)
+
+    monkeypatch.setattr(modes_mod, "_em_restarts", failing)
+    monkeypatch.setattr(modes_mod.os, "cpu_count", lambda: cpus)
+    before = threading.active_count()
+    with pytest.raises(ConvergenceError) as exc:
+        select_modes(_three_bumps(), k_max=8, seed=2)
+    assert exc.value is errors[3]
+    assert threading.active_count() == before
+
+
+def test_select_modes_counts_em_iterations():
+    x = _three_bumps()
+    cut = select_modes(x, k_max=4, n_restarts=3, seed=1, max_iter=5, tol=0.0)
+    assert cut.em_iterations == ((2, (5, 5, 5)), (3, (5, 5, 5)), (4, (5, 5, 5)))
+    model = select_modes(x, k_max=4, n_restarts=3, seed=1, max_iter=200, tol=1e-3)
+    assert [k for k, _ in model.em_iterations] == [2, 3, 4]
+    counts = [c for _, row in model.em_iterations for c in row]
+    assert all(len(row) == 3 for _, row in model.em_iterations)
+    assert all(0 <= c < 200 for c in counts)
+    # each count is the number of M-steps a restart ran, so a max_iter
+    # of the smallest count cuts every restart at that count
+    for _, row in select_modes(x, k_max=4, n_restarts=3, seed=1, max_iter=min(counts), tol=1e-3).em_iterations:
+        assert row == (min(counts),) * 3
+    assert model.assign(x[:10]).em_iterations == model.em_iterations
+    assert fit_gmm_1d(x, k=2).em_iterations is None
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +570,8 @@ def test_write_report_artefacts(tmp_path):
 
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["k"] == 2
+    assert payload["em_iterations"] == [[k, list(row)] for k, row in report.model.em_iterations]
+    assert [k for k, _ in payload["em_iterations"]] == [k for k, _ in payload["bic_table"][1:]]
     assert len(payload["modes"]) == 2
     assert sorted(i for m in payload["modes"] for i in m["members"]) == list(range(21))
 

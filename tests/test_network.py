@@ -196,6 +196,73 @@ def test_ingest_trace_errors_carry_line_numbers(tmp_path):
         ingest_trace(p)
 
 
+# A valid trace, then one corruption of one kind at one record; the reader
+# must name that record's line in a TraceFormatError.  Candidate values are
+# drawn so that the corruption cannot leave a valid record behind.
+_LABELS = ["a", "b", "n7", "42", "zed", "x-1"]
+_NOT_A_NUMBER = ["x", "--2", "1e", "0x1f", "one", "1;", "2.0.1"]
+_NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity"]
+
+
+@st.composite
+def _trace_lines(draw, fmt):
+    """Lines of a valid trace in ``fmt`` and the indices of its records;
+    comments, blank lines and (csv) the header sit among them."""
+    sep = "," if fmt == "csv" else " "
+    lines = ["node_a,node_b,start,end"] if fmt == "csv" and draw(st.booleans()) else []
+    records = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append("" if fmt == "csv" else draw(st.sampled_from(["", "# note", "   "])))
+        a, b = draw(st.lists(st.sampled_from(_LABELS), min_size=2, max_size=2, unique=True))
+        start = draw(st.integers(0, 1000)) / 4
+        end = start + draw(st.integers(0, 40)) / 4
+        records.append(len(lines))
+        lines.append(sep.join([a, b, repr(start), repr(end)]))
+    return lines, records
+
+
+def _corrupt_record(data, line, fmt):
+    sep = "," if fmt == "csv" else " "
+    fields = line.split(sep)
+    kind = data.draw(st.sampled_from(["columns", "not-a-number", "non-finite", "reversed", "empty-label",
+                                      "self-contact"]))
+    if kind == "columns":
+        if data.draw(st.booleans()):
+            fields = fields[: data.draw(st.integers(1, 3))]
+        else:
+            fields += data.draw(st.lists(st.sampled_from(["1.0", "x", "b"]), min_size=1, max_size=3))
+    elif kind in ("not-a-number", "non-finite"):
+        pool = _NOT_A_NUMBER + ([""] if fmt == "csv" else []) if kind == "not-a-number" else _NON_FINITE
+        fields[data.draw(st.integers(2, 3))] = data.draw(st.sampled_from(pool))
+    elif kind == "reversed":
+        fields[3] = repr(float(fields[2]) - data.draw(st.sampled_from([0.25, 1.0, 7.5])))
+    elif kind == "empty-label":
+        # whitespace cannot hold an empty ws4 field: there the record
+        # loses a column instead
+        fields[data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(["", " "]))
+    else:  # self-contact
+        fields[1] = fields[0]
+    return sep.join(fields)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "ws4"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_ingest_trace_names_the_line_of_any_corruption(tmp_path_factory, fmt, data):
+    lines, records = data.draw(_trace_lines(fmt))
+    path = tmp_path_factory.mktemp("trace") / f"t.{fmt}"
+    path.write_text("\n".join(lines) + "\n")
+    assert ingest_trace(path, fmt=fmt).n_events >= 1
+    i = data.draw(st.sampled_from(records))
+    lines[i] = _corrupt_record(data, lines[i], fmt)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError) as exc:
+        ingest_trace(path, fmt=fmt)
+    assert exc.value.line == i + 1
+    assert str(exc.value).startswith(f"line {i + 1}: ")
+
+
 def test_ingest_trace_missing_and_empty(tmp_path):
     with pytest.raises(DataError, match="not found"):
         ingest_trace(tmp_path / "nope.csv")
