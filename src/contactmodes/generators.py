@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DataError
 from .network import ContactEvent, StaticGraph, SymMatrix, TemporalNetwork
 from .seeds import derive_rng, derive_seed_sequence
 
@@ -363,9 +363,12 @@ def write_schedule(schedule: SwitchingSchedule, path) -> None:
 def read_schedule(path) -> SwitchingSchedule:
     with open(Path(path), "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    segments = tuple(
-        (spec_from_dict(seg["spec"]), int(seg["duration"])) for seg in raw["segments"]
-    )
+    try:
+        segments = tuple(
+            (spec_from_dict(seg["spec"]), int(seg["duration"])) for seg in raw["segments"]
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed schedule: {exc!r}") from exc
     return SwitchingSchedule(segments)
 
 

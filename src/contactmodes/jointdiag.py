@@ -139,73 +139,73 @@ def project(h, basis: OrthoBasis) -> SymMatrix:
     return SymMatrix.symmetrised(u.T @ hv @ u)
 
 
-def _as_stack(matrices) -> np.ndarray:
-    # every branch builds a fresh float stack, which the caller may overwrite
-    if hasattr(matrices, "matrices"):  # SampleBatch
-        stack = matrices.matrices()
-    else:
-        mats = [np.asarray(m, dtype=float) for m in matrices]
-        stack = np.stack(mats) if mats else np.zeros((0, 0, 0))
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {stack.shape}")
-    if len(stack) == 0:
-        raise ValueError("need at least one matrix")
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("matrix entries must be finite")
-    return stack
+def _incidence(matrices) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray, int]:
+    """Read any input as coordinates H_i = sum_e B[i, e] S_e, with S_e the
+    symmetric 0/1 matrix of the upper-triangle entry ends[e] = (a, b) and
+    ``coef[e]`` its count of ones (2 off the diagonal, 1 on it).
 
-
-def _gram_stack(batch) -> tuple[np.ndarray, np.ndarray, tuple] | None:
-    """Compress a batch whose trees use fewer distinct edges than there
-    are trees into the eigenmatrices of its edge co-occurrence Gram.
-
-    With B the M x E 0/1 tree-edge incidence and B^T B = V diag(lam) V^T,
-    the matrices K_j = sqrt(lam_j) sum_e V[e, j] S_e (S_e the symmetric
-    0/1 matrix of edge e) satisfy sum_j K_j (x) K_j = sum_i H_i (x) H_i
-    over the tree matrices H_i.  Every quantity a sweep reads (the angle
-    sums g00/g01/g11 and the off2 totals) is such a sum, so the sweeps
-    take the same steps on the r <= E matrices K_j as on the M trees.
-
-    Returns None when E >= M, where compression cannot shrink the stack;
-    otherwise the stack, the mean tree matrix (bit-identical to the mean
-    of the dense stack) and (B, edge ends) for :func:`_tree_diagonals`.
+    A SampleBatch gives its bool tree-edge incidence over the edges its
+    trees use, never densifying a tree; a stack of matrices gives its
+    values on the entries that are nonzero in some matrix.
     """
-    m_count, n = len(batch), batch.n_nodes
-    tree, child, par = batch.edge_arrays()
-    key = np.minimum(child, par) * n + np.maximum(child, par)
-    # a mask, not np.unique: its sort temporaries raise the peak RSS of a
-    # batch that then stays dense
-    used = np.zeros(n * n, dtype=bool)
-    used[key] = True
-    edge_ids = np.flatnonzero(used)
-    if len(edge_ids) >= m_count:
-        return None
-    edge_of = (np.cumsum(used) - 1)[key]
-    ends = np.divmod(edge_ids, n)
-    incidence = np.zeros((m_count, len(edge_ids)))
-    incidence[tree, edge_of] = 1.0
-    mean = np.zeros((n, n))
-    mean[ends] = mean[ends[::-1]] = incidence.sum(axis=0) / m_count
-    try:
-        lam, vecs = np.linalg.eigh(incidence.T @ incidence)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed on the edge Gram matrix: {exc}") from exc
-    # eigenvalues at round-off level (the Gram is singular when trees
-    # repeat) carry no mass; sqrt of a tiny negative one would be NaN
-    keep = lam > lam.max(initial=0.0) * len(lam) * np.finfo(float).eps
-    weights = (vecs[:, keep] * np.sqrt(lam[keep])).T
+    if hasattr(matrices, "edge_arrays"):  # SampleBatch
+        m_count, n = len(matrices), matrices.n_nodes
+        tree, child, par = matrices.edge_arrays()
+        key = np.minimum(child, par) * n + np.maximum(child, par)
+        # a mask, not np.unique: its sort temporaries raise the peak RSS
+        used = np.zeros(n * n, dtype=bool)
+        used[key] = True
+        incidence = np.zeros((m_count, int(used.sum())), dtype=bool)
+        incidence[tree, (np.cumsum(used) - 1)[key]] = True
+    else:
+        # SymMatrix rejects a matrix that is not square, finite and
+        # symmetric: only the upper triangle is read
+        mats = [SymMatrix(m).values for m in matrices]
+        stack = np.stack(mats) if mats else np.zeros((0, 0, 0))
+        m_count, n = len(stack), stack.shape[1]
+        used = np.triu(np.any(stack != 0.0, axis=0)).ravel()
+        incidence = stack.reshape(m_count, n * n)[:, used]
+    if m_count == 0:
+        raise ValueError("need at least one matrix")
+    ends = np.divmod(np.flatnonzero(used), n)
+    coef = np.where(ends[0] == ends[1], 1.0, 2.0)
+    return incidence, ends, coef, n
+
+
+def _sweep_stack(incidence, ends, n: int) -> np.ndarray:
+    """The matrices the sweeps rotate: the M inputs themselves, or, when
+    they use fewer coordinates than there are matrices (E < M), the
+    eigenmatrices of the coordinate Gram.
+
+    With B^T B = V diag(lam) V^T, the matrices K_j = sqrt(lam_j) sum_e
+    V[e, j] S_e satisfy sum_j K_j (x) K_j = sum_i H_i (x) H_i.  Every
+    quantity a sweep reads (the angle sums g00/g01/g11 and the off2 totals)
+    is such a sum, so the sweeps take the same steps on the r <= E matrices
+    K_j as on the M inputs.  This is the reduction JADE applies to its
+    cumulant set (Cardoso & Souloumiac, IEE Proc. F 140(6), 1993).
+    """
+    weights = incidence
+    if incidence.shape[1] < incidence.shape[0]:
+        b = incidence.astype(float, copy=False)
+        try:
+            lam, vecs = np.linalg.eigh(b.T @ b)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigensolver failed on the coordinate Gram matrix: {exc}") from exc
+        # eigenvalues at round-off level (the Gram is singular when inputs
+        # repeat) carry no mass; sqrt of a tiny negative one would be NaN
+        keep = lam > lam.max(initial=0.0) * len(lam) * np.finfo(float).eps
+        weights = (vecs[:, keep] * np.sqrt(lam[keep])).T
     stack = np.zeros((len(weights), n, n))
     stack[:, ends[0], ends[1]] = weights
     stack[:, ends[1], ends[0]] = weights
-    return stack, mean, (incidence, ends)
+    return stack
 
 
-def _tree_diagonals(incidence, ends, u) -> tuple[np.ndarray, np.ndarray]:
-    """Each tree's projected diagonal diag(U^T H_i U) and its residual
+def _sample_diagonals(incidence, ends, coef, fro2, u) -> tuple[np.ndarray, np.ndarray]:
+    """Each input's projected diagonal diag(U^T H_i U) and its residual
     off2, ||H_i||^2 - ||diag||^2, read from the incidence rows."""
-    diags = incidence @ (2.0 * u[ends[0]] * u[ends[1]])
-    fro2 = 2.0 * incidence.sum(axis=1)
-    # the subtraction cancels for nearly diagonal trees; clip its round-off
+    diags = incidence @ (coef[:, None] * u[ends[0]] * u[ends[1]])
+    # the subtraction cancels for nearly diagonal inputs; clip its round-off
     deviations = np.clip(fro2 - (diags * diags).sum(axis=1), 0.0, fro2)
     return diags, deviations
 
@@ -296,13 +296,16 @@ def joint_diagonalise(
 ) -> JdResult:
     """Simultaneously diagonalise a set of symmetric matrices.
 
-    A SampleBatch whose trees use fewer distinct edges than there are
-    trees is never densified: the sweeps run on the eigenmatrices of its
-    edge co-occurrence Gram instead (see :func:`_gram_stack`), with the
-    same history and, per tree, the same diagonals and deviations up to
-    round-off.  (Where a node symmetry of the batch swaps trees, the
-    objective has mirror-image minimisers and round-off picks one, so
-    only the multiset of deviations is determined, on either path.)
+    Every input is read as coordinates on the upper-triangle entries it
+    uses (:func:`_incidence`; a SampleBatch is never densified).  When
+    there are fewer such entries than matrices, the sweeps run on the
+    eigenmatrices of their Gram instead of the matrices themselves (see
+    :func:`_sweep_stack`), with the same history up to round-off.  Each
+    matrix's diagonal and deviation are read from its coordinates, so a
+    SampleBatch and its ``matrices()`` give the same result bit for bit.
+    (Where a node symmetry of the inputs swaps them, the objective has
+    mirror-image minimisers and round-off picks one, so only the multiset
+    of deviations is determined.)
 
     Parameters
     ----------
@@ -319,20 +322,20 @@ def joint_diagonalise(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    gram = _gram_stack(matrices) if hasattr(matrices, "edge_arrays") else None
-    if gram is None:
-        c = _as_stack(matrices)
-        mean = c.mean(axis=0)
-    else:
-        c, mean, (incidence, ends) = gram
-    m_count, n, _ = c.shape
+    incidence, ends, coef, n = _incidence(matrices)
+    # both checks read the input itself, before any Gram is formed
+    with np.errstate(over="ignore"):
+        fro2 = np.einsum("ie,ie,e->i", incidence, incidence, coef)
+    if not math.isfinite(float(fro2.sum())):
+        raise ValueError("squared Frobenius norms of the input overflow; rescale the matrices")
+    if np.any((fro2 < np.finfo(float).tiny) & incidence.any(axis=1)):
+        raise ValueError("squared Frobenius norms of the input underflow; rescale the matrices")
+    mean = np.zeros((n, n))
+    mean[ends] = mean[ends[::-1]] = incidence.sum(axis=0) / len(incidence)
+    c = _sweep_stack(incidence, ends, n)
 
     in_traces = np.einsum("mii->m", c)
-    with np.errstate(over="ignore"):
-        in_fro2 = (c * c).sum(axis=(1, 2))
-    if not math.isfinite(float(in_fro2.sum())):
-        raise ValueError("squared Frobenius norms of the input overflow; rescale the matrices")
-
+    in_fro2 = (c * c).sum(axis=(1, 2))
     initial = float(_off2_by_matrix(c).sum())
     history = [initial]
     converged = False
@@ -357,7 +360,7 @@ def joint_diagonalise(
     diag_idx = np.arange(n)
     c = np.ascontiguousarray(c)
     buf = np.empty_like(c)
-    chunks = _sample_chunks(m_count, n)
+    chunks = _sample_chunks(len(c), n)
     with ThreadPoolExecutor(len(chunks)) if len(chunks) > 1 else nullcontext() as pool:
         for _ in range(max_sweeps):
             rotations = 0
@@ -408,18 +411,14 @@ def joint_diagonalise(
     out_traces = np.einsum("mii->m", c)
     out_fro2 = (c * c).sum(axis=(1, 2))
     # written as "not within bound" so that a NaN drift fails them too; the
-    # initial values cover the empty Gram stack of a batch of lone roots
+    # initial values cover the empty Gram stack of inputs that are all zero
     scale = 1.0 + np.abs(in_traces)
     if not np.abs(out_traces - in_traces).max(initial=0.0) <= 1e-8 * scale.max(initial=1.0):
         raise ConvergenceError("trace drifted during joint diagonalisation")
     if not np.abs(out_fro2 - in_fro2).max(initial=0.0) <= 1e-8 * (1.0 + in_fro2.max(initial=0.0)):
         raise ConvergenceError("Frobenius norm drifted during joint diagonalisation")
 
-    if gram is None:
-        diags = np.einsum("mii->mi", c)
-        deviations = _off2_by_matrix(c)
-    else:
-        diags, deviations = _tree_diagonals(incidence, ends, u)
+    diags, deviations = _sample_diagonals(incidence, ends, coef, fro2, u)
     avg_diag = diags.mean(axis=0)
     order = np.argsort(-avg_diag, kind="stable")
     u = u[:, order]

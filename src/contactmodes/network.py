@@ -78,8 +78,8 @@ class SymMatrix:
     def __getitem__(self, idx):
         return self._a[idx]
 
-    def __array__(self, dtype=None):
-        return np.asarray(self._a, dtype=dtype)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._a, dtype=dtype, copy=copy)
 
     def allclose(self, other: "SymMatrix", atol: float = 1e-12) -> bool:
         return np.allclose(self._a, np.asarray(other), atol=atol)
@@ -393,7 +393,10 @@ def write_label_map(net: TemporalNetwork, path: str | Path) -> None:
 def read_label_map(path: str | Path) -> dict[str, int]:
     with open(Path(path), "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    return {str(k): int(v) for k, v in raw.items()}
+    try:
+        return {str(k): int(v) for k, v in raw.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: a label map must be a JSON object of label -> node id: {exc!r}") from exc
 
 
 def aggregate_static(net: TemporalNetwork, t0: float, t1: float) -> StaticGraph:

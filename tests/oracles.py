@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from contactmodes.errors import ConvergenceError
+from contactmodes.jointdiag import _GAIN_GUARD, JdResult, OrthoBasis, _pair_rounds, eig_sym
 from contactmodes.modes import (
     GaussComponent,
     ModeModel,
@@ -49,6 +50,85 @@ def brute_project(h, u) -> np.ndarray:
                     acc += u[k, i] * h[k, l] * u[l, j]
             out[i, j] = acc
     return out
+
+
+def _reference_off2(stack) -> np.ndarray:
+    s2 = stack * stack
+    idx = np.arange(stack.shape[1])
+    s2[:, idx, idx] = 0.0
+    return s2.sum(axis=(1, 2))
+
+
+def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100) -> JdResult:
+    """Joint diagonalisation swept on the dense stack itself, in one
+    thread: the same warm start from the mean matrix, the same rounds of
+    disjoint rotations and stopping rule, and each sample's diagonal and
+    off2 read back from the rotated stack rather than from coordinates."""
+    c = np.array(stack, dtype=float)
+    n = c.shape[1]
+    history = [float(_reference_off2(c).sum())]
+    initial = history[0]
+    u = np.eye(n)
+    try:
+        warm_u = eig_sym(c.mean(axis=0))[1].values.copy()
+        warm_c = np.einsum("ki,mkl,lj->mij", warm_u, c, warm_u, optimize=True)
+        warm_off = float(_reference_off2(warm_c).sum())
+        if warm_off <= initial:
+            u, c = warm_u, warm_c
+            history.append(warm_off)
+    except ConvergenceError:
+        pass
+    c = np.ascontiguousarray(c)  # the sums below follow the memory order
+    idx = np.arange(n)
+    converged = False
+    for _ in range(max_sweeps):
+        rotations = 0
+        guard = _GAIN_GUARD * max(history[-1], np.finfo(float).tiny)
+        for pp, qq in _pair_rounds(n):
+            h0 = c[:, pp, pp] - c[:, qq, qq]
+            h1 = c[:, pp, qq] + c[:, qq, pp]
+            g00 = (h0 * h0).sum(axis=0)
+            g01 = (h0 * h1).sum(axis=0)
+            g11 = (h1 * h1).sum(axis=0)
+            ton = g00 - g11
+            toff = 2.0 * g01
+            r = np.hypot(ton, toff)
+            active = (r - ton) / 4.0 > guard
+            if not active.any():
+                continue
+            theta = 0.5 * np.arctan2(toff, ton + r)
+            theta[(toff == 0.0) & (ton + r <= 0.0)] = math.pi / 4.0
+            theta[~active] = 0.0
+            # row p becomes cos * row p + sin * row q, row q becomes
+            # cos * row q - sin * row p; then the same on the columns
+            partner = idx.copy()
+            partner[pp], partner[qq] = qq, pp
+            cos_f = np.ones(n)
+            sin_f = np.zeros(n)
+            cos_f[pp] = cos_f[qq] = np.cos(theta)
+            sin_f[pp] = np.sin(theta)
+            sin_f[qq] = -np.sin(theta)
+            c = cos_f[None, :, None] * c + sin_f[None, :, None] * c[:, partner, :]
+            c = cos_f[None, None, :] * c + sin_f[None, None, :] * c[:, :, partner]
+            u = cos_f[None, :] * u + sin_f[None, :] * u[:, partner]
+            rotations += int(active.sum())
+        if rotations == 0:
+            converged = True
+            break
+        history.append(float(_reference_off2(c).sum()))
+        if history[-2] - history[-1] < tol * initial:
+            converged = True
+            break
+    avg_diag = np.einsum("mii->mi", c).mean(axis=0)
+    order = np.argsort(-avg_diag, kind="stable")
+    u = u[:, order]
+    return JdResult(
+        basis=OrthoBasis(u * np.where(u.sum(axis=0) < 0, -1.0, 1.0)),
+        avg_diag=avg_diag[order],
+        deviations=_reference_off2(c),
+        off2_history=np.array(history),
+        converged=converged,
+    )
 
 
 def bfs_distances(adj, root: int) -> list:

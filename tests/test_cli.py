@@ -74,6 +74,26 @@ def test_malformed_trace_is_data_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_label_map_of_the_wrong_shape_is_data_error(synth_dir, tmp_path, capsys):
+    bad = tmp_path / "labels.json"
+    bad.write_text(json.dumps(["0", "1"]))
+    code = _run("sample", "--trace", str(synth_dir / "trace.csv"), "--label-map", str(bad), "--m", "5",
+                "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "analyse"])
+def test_schedule_of_the_wrong_shape_is_data_error(synth_dir, tmp_path, capsys, command):
+    spec = json.loads((synth_dir / "schedule.json").read_text())["segments"][0]
+    del spec["spec"]["n_nodes"]
+    for name, payload in (("no_segments", {"segment": []}), ("no_n_nodes", {"segments": [spec]})):
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(payload))
+        assert _run(command, "--schedule", str(bad), "--out", str(tmp_path / name)) == 2
+        assert str(bad) in capsys.readouterr().err
+
+
 def test_synth_artefacts(synth_dir):
     for name in ("trace.csv", "labels.csv", "label_map.json", "schedule.json", "config.json", "manifest.json"):
         assert (synth_dir / name).exists(), name

@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -23,7 +23,7 @@ from contactmodes import jointdiag as jd_mod
 from contactmodes.jointdiag import JdResult, OrthoBasis
 from contactmodes.network import ContactEvent, StaticGraph, TemporalNetwork
 from contactmodes.sampling import SampleBatch, TreeSample
-from oracles import brute_off2, brute_project
+from oracles import brute_off2, brute_project, reference_joint_diagonalise
 
 
 def _random_orthogonal(n, rng):
@@ -186,7 +186,7 @@ def test_jd_threaded_rounds_match_single_thread(monkeypatch):
     monkeypatch.setattr(jd_mod, "_ENTRIES_PER_THREAD", 1)
     monkeypatch.setattr(jd_mod.os, "cpu_count", lambda: 8)
     assert len(jd_mod._sample_chunks(37, 9)) == 8
-    assert len(jd_mod._sample_chunks(len(jd_mod._gram_stack(batch)[0]), batch.n_nodes)) == 8
+    assert len(jd_mod._sample_chunks(len(_sweep_stack(batch)), batch.n_nodes)) == 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -201,7 +201,8 @@ def test_jd_threaded_rounds_match_single_thread(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Gram-compressed path: a SampleBatch with fewer distinct edges than trees
+# Coordinates and Gram compression: inputs that use fewer distinct
+# upper-triangle entries than there are matrices
 
 
 def _random_tree(draw, n):
@@ -232,12 +233,29 @@ def _distinct_edges(batch):
     return len({frozenset(e) for s in batch.samples for e in s.parent.items()})
 
 
+def _sweep_stack(x):
+    incidence, ends, _, n = jd_mod._incidence(x)
+    return jd_mod._sweep_stack(incidence, ends, n)
+
+
+def _is_compressed(x):
+    incidence = jd_mod._incidence(x)[0]
+    return incidence.shape[1] < incidence.shape[0]
+
+
+def _path_and_star(trees):
+    # a path 0-1-2-3-4-5 and the star around node 0 share one edge: 9 edges
+    path = TreeSample(root=0, start_time=0.0, parent={i + 1: i for i in range(5)})
+    star = TreeSample(root=0, start_time=0.0, parent={i: 0 for i in range(1, 6)})
+    return SampleBatch((path, star) + (path,) * (trees - 2), n_nodes=6, seed=0)
+
+
 def _assert_matches_dense(batch, in_tree_order=True):
-    """The batch's result against the dense oracle: ndarray input never
-    takes the Gram path.  With ``in_tree_order`` false only the multiset
-    of deviations is compared (see the mirror-symmetric test below)."""
+    """The batch's result against the oracle swept on the dense stack.
+    With ``in_tree_order`` false only the multiset of deviations is
+    compared (see the mirror-symmetric test below)."""
     got = joint_diagonalise(batch)
-    want = joint_diagonalise(batch.matrices())
+    want = reference_joint_diagonalise(batch.matrices())
     two_e = np.array([2.0 * s.n_edges for s in batch.samples])
     assert len(got.off2_history) == len(want.off2_history)
     assert np.abs(got.off2_history - want.off2_history).max() <= 1e-9 * max(want.off2_history[0], 1.0)
@@ -253,9 +271,11 @@ def _assert_matches_dense(batch, in_tree_order=True):
 
 
 @given(_tree_batches())
+@example(_path_and_star(10))
+@example(_path_and_star(9))
 @settings(max_examples=150, deadline=None)
 def test_jd_gram_path_matches_dense(batch):
-    assert (jd_mod._gram_stack(batch) is None) == (_distinct_edges(batch) >= len(batch))
+    assert jd_mod._incidence(batch)[0].shape == (len(batch), _distinct_edges(batch))
     # small drawn batches can be mirror-symmetric, as below
     _assert_matches_dense(batch, in_tree_order=False)
 
@@ -270,7 +290,7 @@ def test_jd_gram_path_on_a_mirror_symmetric_batch():
     star = TreeSample(root=2, start_time=0.0, parent={0: 2, 1: 2})
     path = TreeSample(root=0, start_time=0.0, parent={1: 0, 2: 1})
     batch = SampleBatch((lone,) * 4 + (star, path), n_nodes=3, seed=0)
-    assert jd_mod._gram_stack(batch) is not None
+    assert _is_compressed(batch)
     _assert_matches_dense(batch, in_tree_order=False)
 
 
@@ -286,26 +306,35 @@ def test_jd_gram_path_matches_dense_tree_by_tree():
     floods = sample_batch(net, 300, seed=2)
     assert any(s.partial for s in floods.samples)
     for batch in (sample_batch(_seven_node_graph(), 300, seed=1), floods):
-        assert jd_mod._gram_stack(batch) is not None
+        assert _is_compressed(batch)
         _assert_matches_dense(batch)
 
 
 def test_jd_gram_stack_carries_the_dense_mean_and_norms():
     batch = sample_batch(_seven_node_graph(), 60, seed=4)
-    stack, mean, (incidence, ends) = jd_mod._gram_stack(batch)
     dense = batch.matrices()
-    assert incidence.shape == (60, _distinct_edges(batch)) and len(stack) <= incidence.shape[1]
-    assert np.array_equal(mean, dense.mean(axis=0))
+    incidence, ends, coef, n = jd_mod._incidence(batch)
+    assert incidence.dtype == bool and incidence.shape == (60, _distinct_edges(batch))
+    assert np.all(ends[0] < ends[1]) and np.array_equal(coef, np.full(incidence.shape[1], 2.0))
+    # the coordinates are the tree matrices' upper-triangle entries, so
+    # their column sums give the dense mean bit for bit
+    assert np.array_equal(incidence, dense[:, ends[0], ends[1]] == 1.0)
+    assert np.array_equal(incidence.sum(axis=0) / 60, dense.mean(axis=0)[ends])
+    stack = jd_mod._sweep_stack(incidence, ends, n)
+    assert len(stack) <= incidence.shape[1]
     # every quadratic quantity of the sweeps: sum_j K_j (x) K_j = sum_i H_i (x) H_i
     assert np.allclose(np.einsum("jab,jcd->abcd", stack, stack), np.einsum("iab,icd->abcd", dense, dense),
                        atol=1e-12)
+    # with as many coordinates as matrices the sweeps rotate the matrices;
+    # with one matrix more, the rank-two Gram of the two distinct trees
+    assert np.array_equal(_sweep_stack(_path_and_star(9)), _path_and_star(9).matrices())
+    assert len(_sweep_stack(_path_and_star(10))) == 2
 
 
 def test_jd_repeated_tree_has_zero_deviations():
     tree = TreeSample(root=0, start_time=0.0, parent={1: 0, 2: 1, 3: 1, 4: 3})
     batch = SampleBatch((tree,) * 9, n_nodes=5, seed=0)
-    stack, _, _ = jd_mod._gram_stack(batch)
-    assert len(stack) == 1  # the Gram 9 * ones(4, 4) has rank one
+    assert len(_sweep_stack(batch)) == 1  # the Gram 9 * ones(4, 4) has rank one
     res = _assert_matches_dense(batch)
     assert np.all(res.deviations >= 0.0)
     assert res.deviations.max() <= 1e-12
@@ -313,21 +342,44 @@ def test_jd_repeated_tree_has_zero_deviations():
 
 @pytest.mark.parametrize("trees", [10, 9], ids=["edges-one-below-trees", "edges-equal-trees"])
 def test_jd_path_switches_where_edges_reach_trees(trees):
-    # a path 0-1-2-3-4-5 and the star around node 0 share one edge: 9 edges
-    path = TreeSample(root=0, start_time=0.0, parent={i + 1: i for i in range(5)})
-    star = TreeSample(root=0, start_time=0.0, parent={i: 0 for i in range(1, 6)})
-    batch = SampleBatch((path, star) + (path,) * (trees - 2), n_nodes=6, seed=0)
+    batch = _path_and_star(trees)
     assert _distinct_edges(batch) == 9
     if trees > 9:
-        assert jd_mod._gram_stack(batch) is not None
+        assert _is_compressed(batch)
         _assert_matches_dense(batch)
         return
-    # with as many edges as trees the batch is densified, bit for bit
-    assert jd_mod._gram_stack(batch) is None
+    # with as many edges as trees the tree matrices are swept, bit for bit
+    assert not _is_compressed(batch)
     got, want = joint_diagonalise(batch), joint_diagonalise(batch.matrices())
     for field in ("avg_diag", "deviations", "off2_history"):
         assert np.array_equal(getattr(got, field), getattr(want, field))
     assert np.array_equal(got.basis.values, want.basis.values)
+
+
+@given(_tree_batches())
+@settings(max_examples=150, deadline=None)
+def test_jd_batch_and_its_matrices_agree_bit_for_bit(batch):
+    got, want = joint_diagonalise(batch), joint_diagonalise(batch.matrices())
+    for field in ("avg_diag", "deviations", "off2_history"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert np.array_equal(got.basis.values, want.basis.values)
+    assert got.converged == want.converged
+
+
+@pytest.mark.parametrize("m_count, n", [(40, 5), (6, 7)], ids=["compressed", "matrices-swept"])
+def test_jd_generic_stack_matches_dense(m_count, n):
+    # a generic stack with a full diagonal: E = n (n + 1) / 2 coordinates,
+    # 15 < 40 for the first case, 28 >= 6 for the second
+    stack = derive_rng(13, "jd-generic").standard_normal((m_count, n, n))
+    stack = stack + stack.transpose(0, 2, 1)
+    assert _is_compressed(stack) == (m_count == 40)
+    got, want = joint_diagonalise(stack), reference_joint_diagonalise(stack)
+    assert len(got.off2_history) == len(want.off2_history)
+    assert np.abs(got.off2_history - want.off2_history).max() <= 1e-9 * want.off2_history[0]
+    fro2 = (stack * stack).sum(axis=(1, 2))
+    assert np.abs(got.deviations - want.deviations).max() <= 1e-10 * fro2.max()
+    assert np.abs(got.avg_diag - want.avg_diag).max() <= 1e-12 * np.abs(want.avg_diag).max()
+    assert got.converged == want.converged
 
 
 def test_jd_unconverged_flag_and_force():
@@ -356,6 +408,36 @@ def test_jd_rejects_overflowing_input():
     a = a + a.transpose(0, 2, 1)
     with pytest.raises(ValueError, match="overflow"):
         joint_diagonalise(a * 1e200)
+    # and before the Gram of a compressible stack (E = 6 < M = 30) is formed
+    b = rng.standard_normal((30, 3, 3))
+    b = b + b.transpose(0, 2, 1)
+    assert _is_compressed(b)
+    with pytest.raises(ValueError, match="overflow"):
+        joint_diagonalise(b * 1e200)
+
+
+def test_jd_rejects_underflowing_input():
+    # every square underflows: the sweeps would see an all-zero stack and
+    # report convergence with zero deviations
+    a = derive_rng(14, "jd").standard_normal((30, 3, 3))
+    a = a + a.transpose(0, 2, 1)
+    with pytest.raises(ValueError, match="underflow; rescale the matrices"):
+        joint_diagonalise(a * 1e-170)
+    # an all-zero matrix next to ordinary ones is fine
+    assert joint_diagonalise(np.concatenate([a, np.zeros((1, 3, 3))])).converged
+
+
+def test_jd_rejects_asymmetric_matrices():
+    # only the upper triangle is read, so an asymmetric matrix is an error,
+    # at the SymMatrix tolerance of 1e-9 * max(1, max |a|)
+    a = derive_rng(15, "jd").standard_normal((4, 5, 5))
+    a = a + a.transpose(0, 2, 1)
+    a[2, 3, 1] += 1e-6
+    for bad in (a, list(a)):
+        with pytest.raises(ValueError, match="not symmetric"):
+            joint_diagonalise(bad)
+    a[2, 3, 1] = a[2, 1, 3] * (1 + 1e-12)
+    assert joint_diagonalise(a).n == 5
 
 
 def test_jd_non_finite_drift_fails(monkeypatch):
