@@ -46,7 +46,6 @@ from .jointdiag import (
     JdResult,
     OrthoBasis,
     eig_sym,
-    eigenvector_centrality,
     joint_diagonalise,
     off2,
     project,
@@ -127,7 +126,6 @@ __all__ = [
     "derive_seed_sequence",
     "edge_preference",
     "eig_sym",
-    "eigenvector_centrality",
     "filter_batch",
     "fit_batch_modes",
     "fit_gmm_1d",

@@ -30,8 +30,7 @@ class SymMatrix:
 
     The default constructor rejects input whose asymmetry exceeds ``tol``
     (relative to the largest entry); use :meth:`symmetrised` to average an
-    almost-symmetric matrix explicitly, or :meth:`from_lower` to mirror the
-    lower triangle, which is the authoritative half.
+    almost-symmetric matrix explicitly.
     """
 
     __slots__ = ("_a",)
@@ -45,7 +44,12 @@ class SymMatrix:
         scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
         if a.size and float(np.abs(a - a.T).max()) > tol * scale:
             raise ValueError("matrix is not symmetric; use SymMatrix.symmetrised")
-        a = (a + a.T) / 2.0
+        # averaged as a - (a - a.T) / 2, which cannot overflow once the
+        # check has passed ((a + a.T) / 2 does above about 9e307) and keeps
+        # every bit of a symmetric input; mirroring the upper triangle then
+        # makes the round-off of the averaging symmetric too
+        a = a - (a - a.T) / 2.0
+        a = np.where(np.tri(len(a), k=-1, dtype=bool), a.T, a)
         a.setflags(write=False)
         self._a = a
 
@@ -54,13 +58,6 @@ class SymMatrix:
         """Construct from any square matrix by averaging with its transpose."""
         a = np.array(values, dtype=float)
         return cls((a + a.T) / 2.0, tol=np.inf)
-
-    @classmethod
-    def from_lower(cls, values) -> "SymMatrix":
-        """Construct by mirroring the lower triangle onto the upper."""
-        a = np.array(values, dtype=float)
-        low = np.tril(a)
-        return cls(low + low.T - np.diag(np.diag(a)), tol=np.inf)
 
     @classmethod
     def zeros(cls, n: int) -> "SymMatrix":
@@ -80,9 +77,6 @@ class SymMatrix:
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self._a, dtype=dtype, copy=copy)
-
-    def allclose(self, other: "SymMatrix", atol: float = 1e-12) -> bool:
-        return np.allclose(self._a, np.asarray(other), atol=atol)
 
     def __repr__(self) -> str:
         return f"SymMatrix(n={self.n})"

@@ -11,7 +11,6 @@ from contactmodes import (
     SymMatrix,
     derive_rng,
     eig_sym,
-    eigenvector_centrality,
     filter_batch,
     joint_diagonalise,
     off2,
@@ -174,30 +173,82 @@ def test_jd_zero_diagonal_tree_matrices_converge():
     assert hist[-1] < hist[0]
 
 
+def test_rotate_chunk_rotates_rows_then_columns_of_every_sample():
+    """One round on a samples-innermost chunk gives, bit for bit, the
+    rows-then-columns rotation of each (n, n) matrix, with an index left
+    unpaired (odd n)."""
+    rng = derive_rng(16, "jd-kernel")
+    n = 7
+    stack = rng.standard_normal((5, n, n))
+    pp, qq = jd_mod._pair_rounds(n)[2]
+    theta = rng.standard_normal(len(pp))
+    partner = np.arange(n)
+    partner[pp], partner[qq] = qq, pp
+    cos_f, sin_f = np.ones(n), np.zeros(n)
+    cos_f[pp] = cos_f[qq] = np.cos(theta)
+    sin_f[pp], sin_f[qq] = np.sin(theta), -np.sin(theta)
+    chunk = np.ascontiguousarray(stack.transpose(1, 2, 0))
+    jd_mod._rotate_chunk(chunk, np.empty_like(chunk), cos_f, sin_f, partner)
+    rows = cos_f[None, :, None] * stack + sin_f[None, :, None] * stack[:, partner, :]
+    want = cos_f[None, None, :] * rows + sin_f[None, None, :] * rows[:, :, partner]
+    assert np.array_equal(chunk.transpose(2, 0, 1), want)
+
+
 def test_jd_threaded_rounds_match_single_thread(monkeypatch):
     """Splitting the stack over worker threads changes no bit of the
-    result, even with more workers than cores and frequent switching, on
-    a dense stack and on the Gram eigenmatrices of a batch."""
+    result, even with uneven chunks, more workers than cores or than
+    samples, and frequent switching: on a dense stack, on a short one, on
+    the Gram eigenmatrices of a batch, and on the empty Gram stack of
+    inputs that are all zero."""
     rng = derive_rng(12, "jd-threads")
     stack = rng.standard_normal((37, 9, 9))
     stack = stack + stack.transpose(0, 2, 1)
     batch = sample_batch(_seven_node_graph(), 200, seed=5)
-    singles = [joint_diagonalise(x, tol=1e-12) for x in (stack, batch)]
+    inputs = (stack, stack[:5], batch, np.zeros((4, 6, 6)))
+    singles = [joint_diagonalise(x, tol=1e-12) for x in inputs]
+    assert singles[3].converged and np.array_equal(singles[3].deviations, np.zeros(4))
+    assert len(_sweep_stack(inputs[3])) == 0
     monkeypatch.setattr(jd_mod, "_ENTRIES_PER_THREAD", 1)
-    monkeypatch.setattr(jd_mod.os, "cpu_count", lambda: 8)
-    assert len(jd_mod._sample_chunks(37, 9)) == 8
-    assert len(jd_mod._sample_chunks(len(_sweep_stack(batch)), batch.n_nodes)) == 8
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [joint_diagonalise(x, tol=1e-12) for x in (stack, batch)]
-    finally:
-        sys.setswitchinterval(interval)
-    for threaded, single in zip(threads, singles):
-        assert np.array_equal(threaded.basis.values, single.basis.values)
-        assert np.array_equal(threaded.deviations, single.deviations)
-        assert np.array_equal(threaded.off2_history, single.off2_history)
-        assert np.array_equal(threaded.avg_diag, single.avg_diag)
+    for workers, sizes, short_sizes in ((3, [12, 12, 13], [1, 2, 2]), (8, [4, 5, 4, 5, 5, 4, 5, 5], [1] * 5)):
+        monkeypatch.setattr(jd_mod.os, "cpu_count", lambda w=workers: w)
+        assert [sl.stop - sl.start for sl in jd_mod._sample_chunks(37, 9)] == sizes
+        assert [sl.stop - sl.start for sl in jd_mod._sample_chunks(5, 9)] == short_sizes
+        assert len(jd_mod._sample_chunks(len(_sweep_stack(batch)), batch.n_nodes)) == workers
+        assert jd_mod._sample_chunks(0, 6) == [slice(0, 0)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [joint_diagonalise(x, tol=1e-12) for x in inputs]
+        finally:
+            sys.setswitchinterval(interval)
+        for threaded, single in zip(threads, singles):
+            assert np.array_equal(threaded.basis.values, single.basis.values)
+            assert np.array_equal(threaded.deviations, single.deviations)
+            assert np.array_equal(threaded.off2_history, single.off2_history)
+            assert np.array_equal(threaded.avg_diag, single.avg_diag)
+            assert threaded.converged == single.converged
+
+
+def test_jd_sweeps_match_the_reference_stack_bit_for_bit(monkeypatch):
+    """Tree matrices have an exact mean, so on the uncompressed side the
+    sweeps over samples-innermost chunks take the steps of the reference
+    sweeps over the (samples, n, n) stack bit for bit: the angle sums add
+    the samples in the same order, in one chunk or several."""
+    rng = derive_rng(17, "jd-layout")
+    samples = []
+    for _ in range(24):
+        order = rng.permutation(12)
+        parent = {int(order[i]): int(order[rng.integers(i)]) for i in range(1, 12)}
+        samples.append(TreeSample(root=int(order[0]), start_time=0.0, parent=parent))
+    batch = SampleBatch(tuple(samples), n_nodes=12, seed=0)
+    assert len(_sweep_stack(batch)) == 24  # E >= M: the trees themselves are swept
+    want = reference_joint_diagonalise(batch.matrices(), tol=1e-12)
+    monkeypatch.setattr(jd_mod, "_ENTRIES_PER_THREAD", 1)
+    for workers in (1, 5):
+        monkeypatch.setattr(jd_mod.os, "cpu_count", lambda w=workers: w)
+        got = joint_diagonalise(batch, tol=1e-12)
+        assert np.array_equal(got.off2_history, want.off2_history)
+        assert np.array_equal(got.basis.values, want.basis.values)
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +492,13 @@ def test_jd_rejects_asymmetric_matrices():
 
 
 def test_jd_non_finite_drift_fails(monkeypatch):
-    # a NaN that enters the stack mid-sweep must fail the drift checks
+    # a NaN that enters the stack mid-sweep must fail the drift checks; the
+    # chunks hold the samples innermost, so this is entry (0, 1) of sample 0
     rotate = jd_mod._rotate_chunk
 
     def poisoned(c, *args):
         rotate(c, *args)
-        c[0, 0, 1] = np.nan
+        c[0, 1, 0] = np.nan
 
     monkeypatch.setattr(jd_mod, "_rotate_chunk", poisoned)
     rng = derive_rng(9, "jd")
@@ -565,15 +617,3 @@ def test_eig_sym_failure_is_a_convergence_error(monkeypatch):
     assert np.array_equal(np.abs(res.basis.values) @ np.ones(4), np.ones(4))
     assert np.array_equal(np.abs(res.basis.values).sum(axis=0), np.ones(4))
 
-
-def test_eigenvector_centrality_principal_direction():
-    rng = derive_rng(7, "cent")
-    a = np.abs(rng.standard_normal((6, 6)))
-    a = (a + a.T) / 2.0
-    np.fill_diagonal(a, 0.0)
-    c = eigenvector_centrality(a)
-    assert np.all(c >= -1e-12)
-    assert np.linalg.norm(c) == pytest.approx(1.0)
-    w, v = np.linalg.eigh(a)
-    ref = np.abs(v[:, -1])
-    assert np.allclose(np.abs(c), ref, atol=1e-8)

@@ -42,10 +42,18 @@ def test_symmatrix_symmetrised_averages():
     assert m[0, 1] == m[1, 0] == 2.0
 
 
-def test_symmatrix_from_lower_uses_lower_triangle():
-    m = SymMatrix.from_lower([[5.0, 99.0], [1.0, 7.0]])
-    expect = np.array([[5.0, 1.0], [1.0, 7.0]])
-    assert np.array_equal(m.values, expect)
+def test_symmatrix_keeps_huge_finite_entries():
+    # averaging as (a + a.T) / 2 would overflow these to inf
+    a = [[0.0, 1.7e308], [1.7e308, 0.0]]
+    assert np.array_equal(SymMatrix(a).values, a)
+
+
+def test_symmatrix_average_is_exactly_symmetric():
+    # a - (a - a.T) / 2 rounds differently above and below the diagonal here
+    m = SymMatrix([[1.0, -5.36e-11], [3.62e-12, 1.0]])
+    assert m[0, 1] == m[1, 0] == pytest.approx(-2.499e-11, rel=1e-12)
+    signed_zero = SymMatrix([[-0.0, 1.0], [1.0, 2.0]]).values
+    assert np.signbit(signed_zero[0, 0])
 
 
 def test_symmatrix_values_read_only():
