@@ -66,7 +66,6 @@ from .modes import (
     submode_decompose,
 )
 from .network import (
-    ContactEvent,
     StaticGraph,
     SymMatrix,
     TemporalNetwork,
@@ -93,7 +92,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchFormatError",
-    "ContactEvent",
     "ConvergenceError",
     "DataError",
     "Dendrogram",

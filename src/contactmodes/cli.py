@@ -81,16 +81,14 @@ def _write_manifest(
     config_bytes: bytes,
     artefacts,
     status: str = "ok",
-    with_timestamp: bool = True,
 ) -> None:
     payload = {
         "artefacts": sorted(str(Path(a).relative_to(out)) for a in artefacts),
         "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
         "status": status,
         "version": __version__,
+        "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    if with_timestamp:
-        payload["created_at"] = datetime.now(timezone.utc).isoformat()
     _write_json(out / "manifest.json", payload)
 
 
@@ -207,18 +205,14 @@ def _stage_synth(schedule, seed, tail_exponent, min_gap, out: Path) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each writes into ``out`` and appends every file to
+# ``artefacts`` as it lands; ``main`` writes the config and the manifest
 
 
-def _cmd_sample(args) -> int:
-    out = _prepare_out(args.out)
-    cfg = _write_json(out / "config.json", _config_payload(args))
+def _cmd_sample(args, out: Path, artefacts: list) -> None:
     net = _load_net(args)
     source = aggregate_static(net, net.t_min, net.t_max) if args.static else net
-    artefacts = _stage_sample(source, args.m, args.seed, args.horizon, out)
-    _write_manifest(out, cfg, artefacts + [out / "config.json"])
-    print(f"wrote {len(artefacts)} artefact(s) to {out}")
-    return 0
+    artefacts.extend(_stage_sample(source, args.m, args.seed, args.horizon, out))
 
 
 def _analyse_batch(args):
@@ -234,25 +228,11 @@ def _analyse_batch(args):
     return sample_batch(net, args.m, args.seed, horizon=args.horizon)
 
 
-def _cmd_analyse(args) -> int:
-    out = _prepare_out(args.out)
-    cfg = _write_json(out / "config.json", _config_payload(args))
-    batch = _analyse_batch(args)
-    artefacts = []
-    try:
-        _stage_analyse(batch, out, vars(args), artefacts)
-    except ConvergenceError as exc:
-        _write_manifest(out, cfg, artefacts + [out / "config.json"], status="convergence-failure")
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    _write_manifest(out, cfg, artefacts + [out / "config.json"])
-    print(f"wrote {len(artefacts)} artefact(s) to {out}")
-    return 0
+def _cmd_analyse(args, out: Path, artefacts: list) -> None:
+    _stage_analyse(_analyse_batch(args), out, vars(args), artefacts)
 
 
-def _cmd_sir(args) -> int:
-    out = _prepare_out(args.out)
-    cfg = _write_json(out / "config.json", _config_payload(args))
+def _cmd_sir(args, out: Path, artefacts: list) -> None:
     net = _load_net(args)
     params = default_params(
         net,
@@ -261,29 +241,18 @@ def _cmd_sir(args) -> int:
         start_step=args.start_step,
         horizon=args.horizon,
     )
-    artefacts = _stage_sir(net, params, vars(args), out)
-    _write_manifest(out, cfg, artefacts + [out / "config.json"])
-    print(f"wrote {len(artefacts)} artefact(s) to {out}")
-    return 0
+    artefacts.extend(_stage_sir(net, params, vars(args), out))
 
 
-def _cmd_synth(args) -> int:
-    out = _prepare_out(args.out)
-    cfg = _write_json(out / "config.json", _config_payload(args))
+def _cmd_synth(args, out: Path, artefacts: list) -> None:
     schedule = read_schedule(args.schedule) if args.schedule else default_switching_schedule(
         n_nodes=args.n_nodes, segment_steps=args.segment_steps
     )
-    _, artefacts = _stage_synth(schedule, args.seed, args.tail_exponent, args.min_gap, out)
-    _write_manifest(out, cfg, artefacts + [out / "config.json"])
-    print(f"wrote {len(artefacts)} artefact(s) to {out}")
-    return 0
+    _, written = _stage_synth(schedule, args.seed, args.tail_exponent, args.min_gap, out)
+    artefacts.extend(written)
 
 
-def _cmd_repro(args) -> int:
-    out = _prepare_out(args.out)
-    cfg = _write_json(out / "config.json", _config_payload(args))
-    artefacts = [out / "config.json"]
-
+def _cmd_repro(args, out: Path, artefacts: list) -> None:
     schedule = default_switching_schedule(n_nodes=args.n_nodes, segment_steps=args.segment_steps)
     synth_out = _prepare_out(out / "synth")
     result, synth_art = _stage_synth(schedule, args.seed, args.tail_exponent, args.min_gap, synth_out)
@@ -309,12 +278,7 @@ def _cmd_repro(args) -> int:
         "neglog": False,
         "min_size": 1,
     }
-    try:
-        _stage_analyse(batch, analyse_out, opts, artefacts)
-    except ConvergenceError as exc:
-        _write_manifest(out, cfg, artefacts, status="convergence-failure")
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    _stage_analyse(batch, analyse_out, opts, artefacts)
 
     sir_out = _prepare_out(out / "sir")
     params = SirParams(
@@ -331,10 +295,6 @@ def _cmd_repro(args) -> int:
         "per_step_contacts": False,
     }
     artefacts.extend(_stage_sir(result.network, params, sir_opts, sir_out))
-
-    _write_manifest(out, cfg, artefacts)
-    print(f"wrote {len(artefacts)} artefact(s) to {out}")
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -438,16 +398,25 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        out = _prepare_out(args.out)
+        cfg = _write_json(out / "config.json", _config_payload(args))
+        artefacts = [out / "config.json"]
+        try:
+            args.func(args, out, artefacts)
+        except ConvergenceError as exc:
+            # the one place a numerical failure exits: whatever landed is listed
+            _write_manifest(out, cfg, artefacts, status="convergence-failure")
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        _write_manifest(out, cfg, artefacts)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    print(f"wrote {len(artefacts)} artefact(s) to {out}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ generalised-linear-preferential (GLP) static topologies whose links are
 animated into contact events by power-law (Pareto) inter-contact gaps.
 A switching schedule concatenates several generators over time and
 keeps the ground-truth step labels, so pipeline output can be scored
-against a known segmentation.
+against a known segmentation.  Every generator builds the event columns
+of its :class:`TemporalNetwork` with whole-array numpy operations.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .network import ContactEvent, StaticGraph, SymMatrix, TemporalNetwork
+from .network import StaticGraph, SymMatrix, TemporalNetwork
 from .seeds import derive_rng, derive_seed_sequence
 
 _KINDS = ("random", "waxman", "glp")
@@ -89,12 +90,9 @@ def gen_random_contacts(n: int, contact_fraction: float, steps: int, seed: int =
     rng = derive_rng(seed, "random-contacts")
     rows, cols = np.triu_indices(n, 1)
     hits = rng.random((steps, len(rows))) < contact_fraction
-    step_idx, pair_idx = np.nonzero(hits)
-    events = tuple(
-        ContactEvent(int(rows[p]), int(cols[p]), float(t), float(t) + 1.0)
-        for t, p in zip(step_idx, pair_idx)
-    )
-    return TemporalNetwork(n_nodes=n, events=events, granularity=1.0)
+    step_idx, pair_idx = np.nonzero(hits)  # step-major, so already time-sorted
+    t = step_idx.astype(np.float64)
+    return TemporalNetwork(n_nodes=n, a=rows[pair_idx], b=cols[pair_idx], start=t, end=t + 1.0, granularity=1.0)
 
 
 def gen_waxman_topology(
@@ -212,26 +210,17 @@ def animate_levy(
         raise ValueError("tail_exponent must exceed 1")
     if not min_gap > 0.0:
         raise ValueError("min_gap must be positive")
-    t_list = []
-    a_list = []
-    b_list = []
-    for i, j, _w in topology.edges():
-        rng = derive_rng(seed, "levy", i, j)
-        ts = _edge_instants(steps, tail_exponent, min_gap, rng)
-        t_list.append(ts)
-        a_list.append(np.full(len(ts), i, dtype=np.int64))
-        b_list.append(np.full(len(ts), j, dtype=np.int64))
-    if t_list:
-        t = np.concatenate(t_list)
-        a = np.concatenate(a_list)
-        b = np.concatenate(b_list)
-        order = np.lexsort((b, a, t))
-        events = tuple(
-            ContactEvent(int(a[k]), int(b[k]), float(t[k]), float(t[k]) + 1.0) for k in order
-        )
-    else:
-        events = ()
-    return TemporalNetwork(n_nodes=topology.n_nodes, events=events, granularity=1.0)
+    edges = topology.edges()
+    instants = [_edge_instants(steps, tail_exponent, min_gap, derive_rng(seed, "levy", i, j)) for i, j, _w in edges]
+    counts = [len(ts) for ts in instants]
+    t = np.concatenate([np.zeros(0), *instants])
+    a = np.repeat(np.array([i for i, _, _ in edges], dtype=np.int64), counts)
+    b = np.repeat(np.array([j for _, j, _ in edges], dtype=np.int64), counts)
+    order = np.lexsort((b, a, t))
+    t = t[order]
+    return TemporalNetwork(
+        n_nodes=topology.n_nodes, a=a[order], b=b[order], start=t, end=t + 1.0, granularity=1.0
+    )
 
 
 @dataclass(frozen=True)
@@ -310,7 +299,7 @@ def gen_switching(
 ) -> SwitchingResult:
     """Generate each segment independently and concatenate with time
     offsets; the returned labels map every step to its segment."""
-    events = []
+    columns = []
     topologies = []
     labels = np.empty(schedule.total_steps, dtype=np.int64)
     offset = 0
@@ -328,12 +317,14 @@ def gen_switching(
                 )
             topologies.append(topo)
             sub = animate_levy(topo, dur, tail_exponent=tail_exponent, min_gap=min_gap, seed=child)
-        for ev in sub.events:
-            events.append(ContactEvent(ev.a, ev.b, ev.start + offset, ev.end + offset))
+        columns.append((sub.a, sub.b, sub.start + offset, sub.end + offset))
         labels[offset : offset + dur] = s
         offset += dur
-    events.sort(key=lambda ev: (ev.start, ev.a, ev.b))
-    net = TemporalNetwork(n_nodes=schedule.n_nodes, events=tuple(events), granularity=1.0)
+    a, b, start, end = (np.concatenate(col) for col in zip(*columns))
+    order = np.lexsort((b, a, start))  # stable, by (start, a, b)
+    net = TemporalNetwork(
+        n_nodes=schedule.n_nodes, a=a[order], b=b[order], start=start[order], end=end[order], granularity=1.0
+    )
     return SwitchingResult(network=net, labels=labels, topologies=tuple(topologies))
 
 

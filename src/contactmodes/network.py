@@ -1,5 +1,11 @@
-"""Core data types: contact events, temporal networks, static graphs and
-dense symmetric matrices, plus trace ingestion.
+"""Core data types: temporal networks, static graphs and dense symmetric
+matrices, plus trace ingestion.
+
+A temporal network stores its contact trace as four read-only columns,
+one entry per contact event, in start-time order: endpoints ``a < b``
+(int64) and the contact interval ``start``/``end`` (float64 seconds).
+Generators build these columns directly and the simulators scan them;
+no per-event object is ever made.
 
 Node ids are dense consecutive integers ``0..n_nodes-1``.  Ingestion maps
 arbitrary external labels to dense ids in first-seen order over the
@@ -82,45 +88,33 @@ class SymMatrix:
         return f"SymMatrix(n={self.n})"
 
 
-@dataclass(frozen=True)
-class ContactEvent:
-    """One undirected contact between two nodes over ``[start, end]`` seconds.
+def _id_column(values) -> np.ndarray:
+    """Node ids as int64; integral floats are accepted, anything else not."""
+    ids = np.asarray(values)
+    if ids.dtype.kind == "f" and np.all(np.isfinite(ids)) and np.all(ids == np.floor(ids)):
+        ids = ids.astype(np.int64)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"node ids must be integers, got {ids.dtype} values")
+    return ids.astype(np.int64)
 
-    Endpoints are stored in canonical order ``a < b``.
+
+@dataclass(frozen=True, eq=False)
+class TemporalNetwork:
+    """A contact trace on ``n_nodes`` dense ids, stored as four read-only
+    columns in start-time order: the endpoints ``a < b`` (int64) and the
+    contact interval ``[start, end]`` in seconds (float64).
+
+    Any array-likes are accepted; endpoints are swapped into canonical
+    order, and self-contacts, ids outside ``0..n_nodes-1``, non-integer
+    ids, non-finite times, contacts ending before they start and unsorted
+    start times raise ``ValueError``.
     """
 
-    a: int
-    b: int
-    start: float
-    end: float
-
-    def __post_init__(self):
-        a, b = int(self.a), int(self.b)
-        start, end = float(self.start), float(self.end)
-        if a == b:
-            raise ValueError(f"self-contact on node {a}")
-        if not (math.isfinite(start) and math.isfinite(end)):
-            raise ValueError("contact timestamps must be finite")
-        if end < start:
-            raise ValueError(f"contact ends before it starts: {start}..{end}")
-        if a > b:
-            a, b = b, a
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
-class TemporalNetwork:
-    """A time-sorted sequence of contact events on ``n_nodes`` dense ids."""
-
     n_nodes: int
-    events: tuple[ContactEvent, ...]
+    a: np.ndarray
+    b: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
     granularity: float
     label_map: Mapping[str, int] = field(default_factory=dict)
 
@@ -129,27 +123,42 @@ class TemporalNetwork:
             raise ValueError("a temporal network needs at least one node")
         if self.granularity <= 0:
             raise ValueError("granularity must be positive seconds per step")
-        events = tuple(self.events)
-        object.__setattr__(self, "events", events)
-        last = -math.inf
-        for ev in events:
-            if ev.start < last:
-                raise ValueError("events must be sorted by start time")
-            last = ev.start
-            if ev.b >= self.n_nodes:
-                raise ValueError(f"event node {ev.b} >= n_nodes {self.n_nodes}")
+        a, b = _id_column(self.a), _id_column(self.b)
+        start = np.array(self.start, dtype=np.float64)
+        end = np.array(self.end, dtype=np.float64)
+        if not (a.ndim == 1 and a.shape == b.shape == start.shape == end.shape):
+            raise ValueError("event columns must be flat and of one length")
+        self_contact = np.flatnonzero(a == b)
+        if self_contact.size:
+            raise ValueError(f"self-contact on node {a[self_contact[0]]}")
+        if not (np.all(np.isfinite(start)) and np.all(np.isfinite(end))):
+            raise ValueError("contact timestamps must be finite")
+        backwards = np.flatnonzero(end < start)
+        if backwards.size:
+            k = backwards[0]
+            raise ValueError(f"contact ends before it starts: {start[k]}..{end[k]}")
+        if np.any(start[1:] < start[:-1]):
+            raise ValueError("events must be sorted by start time")
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        if a.size and a.min() < 0:
+            raise ValueError(f"negative node id {a.min()}")
+        if b.size and b.max() >= self.n_nodes:
+            raise ValueError(f"event node {b.max()} >= n_nodes {self.n_nodes}")
+        for name, col in (("a", a), ("b", b), ("start", start), ("end", end)):
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
 
     @property
     def n_events(self) -> int:
-        return len(self.events)
+        return len(self.start)
 
     @property
     def t_min(self) -> float:
-        return self.events[0].start if self.events else 0.0
+        return float(self.start[0]) if self.n_events else 0.0
 
-    @cached_property
+    @property
     def t_max(self) -> float:
-        return max((ev.end for ev in self.events), default=0.0)
+        return float(self.end.max()) if self.n_events else 0.0
 
     @property
     def span(self) -> float:
@@ -157,7 +166,7 @@ class TemporalNetwork:
 
     @property
     def n_steps(self) -> int:
-        if not self.events:
+        if not self.n_events:
             return 0
         return int(math.floor((self.t_max - self.t_min) / self.granularity)) + 1
 
@@ -165,19 +174,10 @@ class TemporalNetwork:
         """Discrete step index of timestamp ``t``."""
         return int(math.floor((t - self.t_min) / self.granularity))
 
-    @cached_property
+    @property
     def event_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(a, b, start, end) as flat arrays, for the scan-heavy simulators."""
-        if not self.events:
-            z = np.zeros(0)
-            return z.astype(np.int64), z.astype(np.int64), z, z
-        a = np.fromiter((ev.a for ev in self.events), dtype=np.int64, count=len(self.events))
-        b = np.fromiter((ev.b for ev in self.events), dtype=np.int64, count=len(self.events))
-        s = np.fromiter((ev.start for ev in self.events), dtype=float, count=len(self.events))
-        e = np.fromiter((ev.end for ev in self.events), dtype=float, count=len(self.events))
-        for arr in (a, b, s, e):
-            arr.setflags(write=False)
-        return a, b, s, e
+        """The stored columns ``(a, b, start, end)``."""
+        return self.a, self.b, self.start, self.end
 
     def inverse_labels(self) -> dict[int, str]:
         if self.label_map:
@@ -357,9 +357,10 @@ def ingest_trace(
         if ia > ib:
             ia, ib = ib, ia
         id_events.append((ia, ib, s, e))
-    merged = _merge_pair_intervals(id_events)
-    events = tuple(ContactEvent(a, b, s, e) for a, b, s, e in merged)
-    return TemporalNetwork(n_nodes=n_nodes, events=events, granularity=granularity, label_map=mapping)
+    a, b, start, end = zip(*_merge_pair_intervals(id_events))
+    return TemporalNetwork(
+        n_nodes=n_nodes, a=a, b=b, start=start, end=end, granularity=granularity, label_map=mapping
+    )
 
 
 def write_trace(net: TemporalNetwork, path: str | Path) -> None:
@@ -372,8 +373,8 @@ def write_trace(net: TemporalNetwork, path: str | Path) -> None:
     inverse = net.inverse_labels()
     with open(Path(path), "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
-        for ev in net.events:
-            fh.write(f"{inverse[ev.a]},{inverse[ev.b]},{ev.start!r},{ev.end!r}\n")
+        for a, b, start, end in zip(*(col.tolist() for col in net.event_arrays)):
+            fh.write(f"{inverse[a]},{inverse[b]},{start!r},{end!r}\n")
 
 
 def write_label_map(net: TemporalNetwork, path: str | Path) -> None:
@@ -402,11 +403,12 @@ def aggregate_static(net: TemporalNetwork, t0: float, t1: float) -> StaticGraph:
     """
     if not t0 < t1:
         raise ValueError(f"empty window: [{t0}, {t1})")
+    overlap = np.minimum(net.end, t1) - np.maximum(net.start, t0)
+    hit = overlap > 0
+    i, j, w = net.a[hit], net.b[hit], overlap[hit]
     a = np.zeros((net.n_nodes, net.n_nodes))
-    for ev in net.events:
-        overlap = min(ev.end, t1) - max(ev.start, t0)
-        if overlap > 0:
-            a[ev.a, ev.b] += overlap
-            a[ev.b, ev.a] += overlap
+    # np.add.at adds the repeat contacts of a pair one by one, in event order
+    np.add.at(a, (i, j), w)
+    np.add.at(a, (j, i), w)
     a /= t1 - t0
     return StaticGraph(SymMatrix(a))

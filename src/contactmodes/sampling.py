@@ -155,7 +155,9 @@ def flood_tree(
 
     Only events starting at or after ``start`` (and before
     ``start + horizon`` when a horizon is given) can transmit; the message
-    passes at the event's start timestamp.  Events sharing a timestamp are
+    passes at the event's start timestamp.  The flood reads the network's
+    event columns directly, from the first event found by binary search
+    on the sorted ``start`` column.  Events sharing a timestamp are
     processed in a shuffled order drawn from ``rng`` (stored order when no
     rng is given), with earlier deliveries visible to later events at the
     same timestamp.

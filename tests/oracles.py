@@ -239,6 +239,17 @@ def merge_intervals(pairs) -> list:
     return out
 
 
+def reference_aggregate_static(net, t0: float, t1: float) -> np.ndarray:
+    """Static aggregation one event at a time, in event order."""
+    a = np.zeros((net.n_nodes, net.n_nodes))
+    for i, j, start, end in zip(*(col.tolist() for col in net.event_arrays)):
+        overlap = min(end, t1) - max(start, t0)
+        if overlap > 0:
+            a[i, j] += overlap
+            a[j, i] += overlap
+    return a / (t1 - t0)
+
+
 def slow_all_pairs_shortest(lengths) -> np.ndarray:
     """Dijkstra-free exhaustive all-pairs shortest paths (repeated
     relaxation until fixpoint)."""

@@ -33,7 +33,7 @@ from contactmodes.generators import (
 )
 from contactmodes.jointdiag import eig_sym, off2, project, reconstruct_average
 from contactmodes.modes import decompose, gamma_ks, submode_decompose
-from contactmodes.network import ContactEvent, StaticGraph, TemporalNetwork
+from contactmodes.network import StaticGraph, TemporalNetwork
 from contactmodes.sampling import edge_preference, filter_batch, sample_batch
 from contactmodes.seeds import derive_rng
 from oracles import count_density_modes
@@ -363,18 +363,18 @@ def two_clique_bridge_net(
                         continue
                     p = p_gateway if gate in (i, j) else p_member
                     if rng.random() < p:
-                        events.append(ContactEvent(i, j, ts, ts + 1.0))
+                        events.append((i, j, ts, ts + 1.0))
         fire = t % bridge_period == 0
         if t >= steps - hot_tail:
             fire = True
             for clique, gate in zip(cliques, gateways):
                 for k in clique:
                     if k != gate:
-                        events.append(ContactEvent(min(gate, k), max(gate, k), ts, ts + 1.0))
+                        events.append((min(gate, k), max(gate, k), ts, ts + 1.0))
         if fire:
-            events.append(ContactEvent(*BRIDGE, ts, ts + 1.0))
-    unique = sorted(set(events), key=lambda e: (e.start, e.a, e.b))
-    return TemporalNetwork(n_nodes=20, events=tuple(unique), granularity=1.0)
+            events.append((*BRIDGE, ts, ts + 1.0))
+    a, b, start, end = zip(*sorted(set(events), key=lambda e: (e[2], e[0], e[1])))
+    return TemporalNetwork(n_nodes=20, a=a, b=b, start=start, end=end, granularity=1.0)
 
 
 def test_criterion_08_bridge_detection_and_sir_ranking():

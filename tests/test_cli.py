@@ -6,6 +6,7 @@ import pytest
 
 from contactmodes import modes as modes_mod
 from contactmodes.cli import main
+from contactmodes.generators import GeneratorSpec, SwitchingSchedule, write_schedule
 from contactmodes.modes import decompose, write_report
 from contactmodes.sampling import SampleBatch, SourceInfo, TreeSample, read_batch, write_batch
 
@@ -232,6 +233,39 @@ def test_analyse_flags_non_convergence(synth_dir, tmp_path, capsys):
     assert not (analyse_out / "report.json").exists()
     assert {"jd.json", "kde.csv"} <= set(manifest["artefacts"])
     assert _listed_equals_on_disk(analyse_out)
+
+
+@pytest.mark.parametrize("command", ["synth", "analyse"])
+def test_schedule_that_never_connects_leaves_a_manifest(tmp_path, capsys, command):
+    # a Waxman segment this sparse exhausts its redraws: a numerical failure
+    # before any artefact lands, which must still be flagged in a manifest
+    schedule = tmp_path / "schedule.json"
+    write_schedule(SwitchingSchedule(((GeneratorSpec.waxman(10, 1e-6, 0.3), 20),)), schedule)
+    out = tmp_path / "o"
+    assert _run(command, "--schedule", str(schedule), "--out", str(out)) == 3
+    assert "stayed disconnected" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "convergence-failure"
+    assert manifest["artefacts"] == ["config.json"]
+    assert _listed_equals_on_disk(out)
+
+
+def test_repro_flags_non_convergence(tmp_path, capsys):
+    out = tmp_path / "repro"
+    code = _run(
+        "repro", "--n-nodes", "10", "--segment-steps", "30", "--m", "40",
+        "--jd-tol", "1e-30", "--max-sweeps", "1", "--out", str(out),
+    )
+    assert code == 3
+    assert capsys.readouterr().err == "error: joint diagonalisation did not converge\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "convergence-failure"
+    listed = set(manifest["artefacts"])
+    assert {"config.json", "synth/trace.csv", "sample/batch.txt", "analyse/jd.json", "analyse/kde.csv"} <= listed
+    assert not (out / "analyse" / "report.json").exists()
+    assert not (out / "sir").exists()
+    on_disk = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()} - {"manifest.json"}
+    assert listed == on_disk
 
 
 def test_analyse_manifest_lists_files_when_a_mode_jd_fails(two_mode_batch_path, tmp_path, monkeypatch, capsys):

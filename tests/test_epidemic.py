@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactmodes import (
-    ContactEvent,
     SirCurve,
     SirParams,
     TemporalNetwork,
@@ -27,10 +27,13 @@ from oracles import per_step_events, reference_sir_walk
 
 
 def _net(events, n=None, granularity=1.0):
-    evs = tuple(ContactEvent(*e) for e in sorted(events, key=lambda e: e[2]))
+    """A network whose columns are the (a, b, start, end) rows, sorted
+    stably by start."""
+    rows = sorted(events, key=lambda e: e[2])
+    a, b, start, end = (list(col) for col in zip(*rows)) if rows else ([], [], [], [])
     if n is None:
-        n = max(ev.b for ev in evs) + 1
-    return TemporalNetwork(n_nodes=n, events=evs, granularity=granularity)
+        n = max(a + b) + 1
+    return TemporalNetwork(n_nodes=n, a=a, b=b, start=start, end=end, granularity=granularity)
 
 
 NO_RECOVERY = math.inf
@@ -412,7 +415,7 @@ def test_sir_output_pinned(granularity, params, per_step, curves_sha, ranking_sh
     # digests recorded with the run-by-run walk: a reordered random draw
     # or a changed transmission rule changes them
     base = gen_random_contacts(12, 0.1, 150, seed=3)
-    net = TemporalNetwork(n_nodes=base.n_nodes, events=base.events, granularity=granularity)
+    net = replace(base, granularity=granularity)
     curves = sir_experiment(net, params, runs_per_node=4, bootstrap_resamples=20, seed=5, per_step_contacts=per_step)
     write_curves_csv(curves, tmp_path / "curves.csv")
     write_ranking_json(curves, net.n_nodes, tmp_path / "ranking.json")

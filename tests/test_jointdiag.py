@@ -20,7 +20,7 @@ from contactmodes import (
 )
 from contactmodes import jointdiag as jd_mod
 from contactmodes.jointdiag import JdResult, OrthoBasis
-from contactmodes.network import ContactEvent, StaticGraph, TemporalNetwork
+from contactmodes.network import StaticGraph, TemporalNetwork
 from contactmodes.sampling import SampleBatch, TreeSample
 from oracles import brute_off2, brute_project, reference_joint_diagonalise
 
@@ -348,12 +348,9 @@ def test_jd_gram_path_on_a_mirror_symmetric_batch():
 def test_jd_gram_path_matches_dense_tree_by_tree():
     # BFS trees of a static graph and flooding trees of a short trace (the
     # late floods are partial), with far more trees than distinct edges
-    net = TemporalNetwork(
-        n_nodes=6,
-        events=tuple(ContactEvent(a, b, float(t), float(t)) for t, (a, b) in
-                     enumerate([(0, 1), (1, 2), (2, 3), (0, 4), (3, 4), (1, 4), (2, 5), (0, 1), (4, 5)] * 3)),
-        granularity=1.0,
-    )
+    a, b = zip(*[(0, 1), (1, 2), (2, 3), (0, 4), (3, 4), (1, 4), (2, 5), (0, 1), (4, 5)] * 3)
+    t = np.arange(len(a), dtype=float)
+    net = TemporalNetwork(n_nodes=6, a=a, b=b, start=t, end=t, granularity=1.0)
     floods = sample_batch(net, 300, seed=2)
     assert any(s.partial for s in floods.samples)
     for batch in (sample_batch(_seven_node_graph(), 300, seed=1), floods):

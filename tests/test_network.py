@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactmodes import (
-    ContactEvent,
     DataError,
     StaticGraph,
     SymMatrix,
@@ -18,7 +17,7 @@ from contactmodes import (
     write_label_map,
     write_trace,
 )
-from oracles import merge_intervals
+from oracles import merge_intervals, reference_aggregate_static
 
 
 # ---------------------------------------------------------------------------
@@ -80,35 +79,83 @@ def test_symmatrix_symmetrised_idempotent(rows):
 
 
 # ---------------------------------------------------------------------------
-# ContactEvent / TemporalNetwork
-
-
-def test_contact_event_canonical_order():
-    ev = ContactEvent(5, 2, 1.0, 3.0)
-    assert (ev.a, ev.b) == (2, 5)
-    assert ev.duration == 2.0
-
-
-def test_contact_event_rejects_bad_input():
-    with pytest.raises(ValueError, match="self-contact"):
-        ContactEvent(1, 1, 0.0, 1.0)
-    with pytest.raises(ValueError, match="ends before"):
-        ContactEvent(0, 1, 2.0, 1.0)
-    with pytest.raises(ValueError, match="finite"):
-        ContactEvent(0, 1, 0.0, math.inf)
-
-
-def test_contact_event_coerces_numpy_scalars():
-    ev = ContactEvent(np.int64(0), np.int64(1), np.float64(0.5), np.float64(1.5))
-    assert type(ev.a) is int and type(ev.b) is int
-    assert type(ev.start) is float and type(ev.end) is float
+# TemporalNetwork
 
 
 def _net(events, n=None, granularity=1.0):
-    evs = tuple(ContactEvent(*e) for e in events)
+    """A network whose columns are the (a, b, start, end) rows, in order."""
+    a, b, start, end = (list(col) for col in zip(*events))
     if n is None:
-        n = max(ev.b for ev in evs) + 1
-    return TemporalNetwork(n_nodes=n, events=evs, granularity=granularity)
+        n = max(a + b) + 1
+    return TemporalNetwork(n_nodes=n, a=a, b=b, start=start, end=end, granularity=granularity)
+
+
+def _columns(net):
+    return [col.tolist() for col in net.event_arrays]
+
+
+def test_temporal_network_swaps_endpoints_into_canonical_order():
+    net = _net([(5, 2, 1.0, 3.0), (0, 4, 2.0, 2.5)])
+    assert _columns(net) == [[2, 0], [5, 4], [1.0, 2.0], [3.0, 2.5]]
+
+
+def test_temporal_network_rejects_bad_events():
+    with pytest.raises(ValueError, match="self-contact on node 1"):
+        _net([(0, 1, 0.0, 1.0), (1, 1, 0.0, 1.0)])
+    with pytest.raises(ValueError, match="ends before"):
+        _net([(0, 1, 0.0, 1.0), (0, 1, 2.0, 1.0)])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            _net([(0, 1, 0.0, bad)])
+        with pytest.raises(ValueError, match="finite"):
+            _net([(0, 1, bad, 1.0)])
+
+
+def test_temporal_network_rejects_negative_and_non_integer_ids():
+    with pytest.raises(ValueError, match="negative node id -1"):
+        _net([(-1, 2, 0.0, 1.0)], n=3)
+    with pytest.raises(ValueError, match="negative node id -1"):
+        _net([(2, -1, 0.0, 1.0)], n=3)
+    for bad in (1.5, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="integers"):
+            _net([(bad, 3, 0.0, 1.0)], n=4)
+    with pytest.raises(ValueError, match="integers"):
+        _net([(0, "1", 0.0, 1.0)], n=4)
+
+
+def test_temporal_network_coerces_column_dtypes():
+    net = TemporalNetwork(
+        n_nodes=3,
+        a=[np.int64(0), 2.0],
+        b=np.array([1, 1], dtype=np.int32),
+        start=[np.float64(0.5), 1],
+        end=np.array([1.5, 2.0], dtype=np.float32),
+        granularity=1.0,
+    )
+    assert [col.dtype for col in net.event_arrays] == [np.int64, np.int64, np.float64, np.float64]
+    assert _columns(net) == [[0, 1], [1, 2], [0.5, 1.0], [1.5, 2.0]]
+    assert type(net.t_min) is float and type(net.t_max) is float
+
+
+def test_temporal_network_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="one length"):
+        TemporalNetwork(n_nodes=3, a=[0, 1], b=[1], start=[0.0], end=[1.0], granularity=1.0)
+
+
+def test_temporal_network_keeps_its_own_read_only_columns():
+    a, b, start, end = np.array([0]), np.array([1]), np.array([0.0]), np.array([1.0])
+    net = TemporalNetwork(n_nodes=2, a=a, b=b, start=start, end=end, granularity=1.0)
+    a[0], start[0] = 1, 0.5
+    assert _columns(net) == [[0], [1], [0.0], [1.0]]
+    for col in net.event_arrays:
+        with pytest.raises(ValueError):
+            col[0] = 0
+
+
+def test_temporal_network_without_events():
+    net = TemporalNetwork(n_nodes=3, a=[], b=[], start=[], end=[], granularity=1.0)
+    assert (net.n_events, net.t_min, net.t_max, net.n_steps) == (0, 0.0, 0.0, 0)
+    assert [col.dtype for col in net.event_arrays] == [np.int64, np.int64, np.float64, np.float64]
 
 
 def test_temporal_network_time_span():
@@ -134,6 +181,7 @@ def test_temporal_network_rejects_out_of_range_node():
 def test_event_arrays_match_events():
     net = _net([(0, 1, 0.0, 1.0), (1, 2, 0.5, 2.0), (0, 2, 3.0, 3.0)])
     a, b, s, e = net.event_arrays
+    assert all(x is y for x, y in zip((a, b, s, e), (net.a, net.b, net.start, net.end)))
     assert a.tolist() == [0, 1, 0]
     assert b.tolist() == [1, 2, 2]
     assert s.tolist() == [0.0, 0.5, 3.0]
@@ -160,7 +208,7 @@ def test_ingest_trace_first_seen_labelling(tmp_path):
     assert net.label_map == {"alice": 0, "bob": 1, "carol": 2}
     assert net.n_nodes == 3
     assert net.n_events == 3
-    assert net.events[0] == ContactEvent(0, 1, 10.0, 12.0)
+    assert [col[0] for col in _columns(net)] == [0, 1, 10.0, 12.0]
 
 
 def test_ingest_trace_orders_by_time_before_labelling(tmp_path):
@@ -180,7 +228,7 @@ def test_ingest_trace_merges_overlapping_duplicates(tmp_path):
         "a,b,20.0,21.0\n"
     )
     net = ingest_trace(p)
-    assert [(ev.start, ev.end) for ev in net.events] == [(0.0, 8.0), (20.0, 21.0)]
+    assert _columns(net) == [[0, 0], [1, 1], [0.0, 20.0], [8.0, 21.0]]
 
 
 def test_ingest_trace_ws4_with_comments(tmp_path):
@@ -286,7 +334,7 @@ def test_ingest_trace_pinned_label_map(tmp_path):
     pinned = {"carol": 0, "bob": 1, "alice": 2, "dave": 3}
     net = ingest_trace(p, label_map=pinned)
     assert net.n_nodes == 4  # dave reserved even though unseen
-    assert net.events[0] == ContactEvent(1, 2, 10.0, 12.0)
+    assert [col[0] for col in _columns(net)] == [1, 2, 10.0, 12.0]
     with pytest.raises(DataError, match="dense"):
         ingest_trace(p, label_map={"alice": 0, "bob": 2, "carol": 3})
     with pytest.raises(DataError, match="missing"):
@@ -301,7 +349,7 @@ def test_trace_round_trip(tmp_path):
     write_trace(net, out)
     again = ingest_trace(out, granularity=0.5, label_map=net.label_map)
     assert again.n_nodes == net.n_nodes
-    assert again.events == net.events
+    assert _columns(again) == _columns(net)
     assert again.label_map == net.label_map
 
 
@@ -337,7 +385,7 @@ def test_duplicate_merging_matches_interval_union(tmp_path_factory, raw):
         lines.append(f"x,y,{s!r},{e!r}")
     p.write_text("\n".join(lines) + "\n")
     net = ingest_trace(p)
-    got = [(ev.start, ev.end) for ev in net.events]
+    got = list(zip(net.start.tolist(), net.end.tolist()))
     assert got == merge_intervals(intervals)
 
 
@@ -377,3 +425,14 @@ def test_aggregate_static_sums_repeat_contacts():
     net = _net([(0, 1, 0.0, 1.0), (0, 1, 2.0, 3.0)], n=2)
     g = aggregate_static(net, 0.0, 10.0)
     assert g.adjacency[0, 1] == pytest.approx(0.2)
+
+
+def test_aggregate_static_matches_the_event_loop_bit_for_bit():
+    # many repeat contacts per pair, so the order of the sums shows
+    rng = np.random.default_rng(7)
+    start = np.sort(rng.uniform(0.0, 50.0, 400))
+    a, b = rng.integers(0, 6, 400), rng.integers(1, 6, 400)
+    net = TemporalNetwork(n_nodes=7, a=a, b=(a + b) % 7, start=start, end=start + rng.exponential(3.0, 400),
+                          granularity=1.0)
+    for t0, t1 in ((0.0, 60.0), (10.3, 27.7), (49.9, 50.1), (-5, 5)):
+        assert np.array_equal(aggregate_static(net, t0, t1).adjacency.values, reference_aggregate_static(net, t0, t1))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from contactmodes import (
     BatchFormatError,
-    ContactEvent,
     SampleBatch,
     StaticGraph,
     TemporalNetwork,
@@ -33,10 +32,13 @@ from oracles import (
 
 
 def _temporal(events, n=None, granularity=1.0):
-    evs = tuple(ContactEvent(*e) for e in sorted(events, key=lambda e: e[2]))
+    """A network whose columns are the (a, b, start, end) rows, sorted
+    stably by start."""
+    rows = sorted(events, key=lambda e: e[2])
+    a, b, start, end = (list(col) for col in zip(*rows)) if rows else ([], [], [], [])
     if n is None:
-        n = max(ev.b for ev in evs) + 1
-    return TemporalNetwork(n_nodes=n, events=evs, granularity=granularity)
+        n = max(a + b) + 1
+    return TemporalNetwork(n_nodes=n, a=a, b=b, start=start, end=end, granularity=granularity)
 
 
 # ---------------------------------------------------------------------------
