@@ -227,7 +227,8 @@ def shortest_path_graph(
     Weights at most ``epsilon`` contribute no edge; the rest become
     lengths 1/weight (or -log weight with ``transform='neglog'``).
     All-pairs shortest paths are computed and an edge is kept when some
-    node pair has a co-minimal path through it; kept edges retain their
+    node pair has a co-minimal path through it, that is, when the edge is
+    itself a co-minimal path between its ends; kept edges retain their
     original weights.  The diagonal is ignored and tiny negative
     reconstruction artefacts are clamped to zero.
     """
@@ -255,17 +256,9 @@ def shortest_path_graph(
     for k in range(n):
         np.minimum(d, d[:, k][:, None] + d[k, :][None, :], out=d)
 
-    finite = np.isfinite(d)
-    tol = 1e-9 * (1.0 + np.where(finite, np.abs(d), 0.0))
-    keep = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not present[i, j]:
-                continue
-            through = d[:, i][:, None] + lengths[i, j] + d[j, :][None, :]
-            ok = finite[:, i][:, None] & finite[j, :][None, :] & finite
-            if bool(np.any(ok & (through <= d + tol))):
-                keep[i, j] = keep[j, i] = True
+    # a subpath of a shortest path is itself shortest, so an edge lies on
+    # some shortest path exactly when it is a shortest path between its ends
+    keep = present & (lengths <= d + 1e-9 * (1.0 + np.abs(d)))
 
     return StaticGraph(SymMatrix(np.where(keep, a, 0.0)))
 

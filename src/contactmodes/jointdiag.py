@@ -13,10 +13,12 @@ matrices simultaneously (the dominant eigenvector of the accumulated
 The rotated stack is held with its samples innermost: one C-contiguous
 (n, n, samples) array per chunk of consecutive samples, so each pass of
 a round runs over long contiguous lines.  Stacks of at least
-2 * ``_ENTRIES_PER_THREAD`` entries are split over up to
-``os.cpu_count()`` worker threads.  Every rotation is elementwise within
-a sample and every sum runs over the samples in order, so the result
-does not depend on the split.
+2 * ``_ENTRIES_PER_THREAD`` entries are split into up to
+``os.cpu_count()`` chunks, one per thread.  Every round has one shape:
+the calling thread rotates the first chunk while a pool rotates the
+rest, so a one-chunk stack starts no thread.  Every rotation is
+elementwise within a sample and every sum runs over the samples in
+order, so the result does not depend on the split.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -40,8 +41,8 @@ from .network import SymMatrix
 # skipping them keeps the recorded off2 history genuinely non-increasing.
 _GAIN_GUARD = 1e-13
 
-# Stacks with fewer entries than this per worker thread are rotated in the
-# calling thread: below it, handing out chunks costs more than it saves.
+# Stacks with fewer entries than this per thread are rotated in the
+# calling thread alone: below it, handing out chunks costs more than it saves.
 # Measured on two cores, whole joint diagonalisations of n=30 stacks ran
 # slower on two threads up to 162,000 entries and faster from 187,200.
 _ENTRIES_PER_THREAD = 90_000
@@ -264,8 +265,8 @@ def _pair_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _sample_chunks(m_count: int, n: int) -> list[slice]:
     """Split the sample axis into at most ``os.cpu_count()`` contiguous,
-    nonempty chunks, one per worker thread (one empty chunk when there
-    are no samples)."""
+    nonempty chunks, one per thread (one empty chunk when there are no
+    samples)."""
     workers = min(os.cpu_count() or 1, max(1, m_count), max(1, m_count * n * n // _ENTRIES_PER_THREAD))
     bounds = np.linspace(0, m_count, workers + 1).astype(int)
     return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -291,17 +292,15 @@ def _rotate_chunk(c, buf, cos_f, sin_f, partner) -> None:
 
 
 def _rotate_stack(pool, chunks, bufs, cos_f, sin_f, partner) -> None:
-    """Apply one round of rotations to every chunk of the stack.
+    """Apply one round of rotations to every chunk of the stack: the
+    calling thread rotates ``chunks[0]`` while the pool rotates the rest.
 
     Chunks are disjoint runs of samples and every operation is
     elementwise within a sample, so the result does not depend on how
     the stack is split or on the thread schedule.
     """
-    if pool is None:
-        for c, buf in zip(chunks, bufs):
-            _rotate_chunk(c, buf, cos_f, sin_f, partner)
-        return
-    futures = [pool.submit(_rotate_chunk, c, buf, cos_f, sin_f, partner) for c, buf in zip(chunks, bufs)]
+    futures = [pool.submit(_rotate_chunk, c, buf, cos_f, sin_f, partner) for c, buf in zip(chunks[1:], bufs[1:])]
+    _rotate_chunk(chunks[0], bufs[0], cos_f, sin_f, partner)
     for fut in futures:
         fut.result()
 
@@ -381,7 +380,8 @@ def joint_diagonalise(
     bufs = [np.empty_like(chunk) for chunk in chunks]
     rounds = _pair_rounds(n)
     diag_idx = np.arange(n)
-    with ThreadPoolExecutor(len(chunks)) if len(chunks) > 1 else nullcontext() as pool:
+    # threads start only on submit, so a one-chunk stack starts none
+    with ThreadPoolExecutor(max(1, len(chunks) - 1)) as pool:
         for _ in range(max_sweeps):
             rotations = 0
             guard = _GAIN_GUARD * max(history[-1], np.finfo(float).tiny)

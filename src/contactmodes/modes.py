@@ -48,10 +48,6 @@ class GaussComponent:
         if self.variance <= 0:
             raise ValueError("component variance must be positive")
 
-    def log_pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return -0.5 * (np.log(2.0 * math.pi * self.variance) + (x - self.mean) ** 2 / self.variance)
-
 
 @dataclass(frozen=True)
 class ModeModel:
@@ -193,20 +189,20 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
     """Run one EM per seed (k >= 2), all of them as a single batched EM.
 
     Each restart starts from its own seeded k-means++ initialisation and
-    stops on its own convergence test; a stopped restart is frozen while
-    the others go on.  Returns ``(weights, means, variances, resp, ll,
-    iterations)`` with a leading restart axis; ``resp`` (shape (R, k, M))
-    is each restart's last E-step, made on the returned parameters: a
-    restart that reaches ``max_iter`` M-steps gets one more E-step to
-    match.  ``iterations`` counts each restart's M-steps.
+    stops on its own convergence test.  Every restart stays in the batch
+    to the end: a stopped one keeps its weights, means and variances, so
+    each later E-step gives it the same responsibilities and
+    log-likelihood bit for bit, and it ends as it would have ended alone.
+    Returns ``(weights, means, variances, resp, ll, iterations)`` with a
+    leading restart axis; ``resp`` (shape (R, k, M)) is each restart's
+    last E-step, made on the returned parameters: a restart that reaches
+    ``max_iter`` M-steps gets one more E-step to match.  ``iterations``
+    counts each restart's M-steps.
 
     The two (R, k, M) work arrays, ``resp`` and the log-joint, are
     allocated once, or taken from ``work`` (a flat float array of at
-    least 2 R k M entries, which ``resp`` then views); while every restart
-    is active they are used whole, so no iteration allocates, gathers or
-    scatters one.  Once some restart has stopped, the active ones work in
-    the leading rows of the log-joint array and gather and scatter their
-    responsibilities.
+    least 2 R k M entries, which ``resp`` then views), so no iteration
+    allocates one.
     """
     m = len(x)
     r_count = len(seeds)
@@ -232,41 +228,33 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
 
     ll = np.full(r_count, -math.inf)
     iterations = np.zeros(r_count, dtype=int)
+    going = np.ones(r_count, dtype=bool)
     size = r_count * k * m
     if work is None:
         work = np.empty(2 * size)
     resp = work[:size].reshape(r_count, k, m)
-    lp_buf = work[size : 2 * size].reshape(r_count, k, m)
-    active = np.arange(r_count)
+    lp = work[size : 2 * size].reshape(r_count, k, m)
     for it in range(max_iter + 1):
-        a = len(active)
-        lp = _log_joint(x, weights[active], means[active], variances[active], out=lp_buf[:a])
-        # the previous responsibilities are spent, so ``resp`` is the
-        # scratch of the log-sum-exp until some restart has stopped
-        ra = resp if a == r_count else np.empty_like(lp)
-        norm = _log_norm(lp, ra)
+        # the previous responsibilities are spent: ``resp`` is the
+        # scratch of the log-sum-exp
+        norm = _log_norm(_log_joint(x, weights, means, variances, out=lp), resp)
         new_ll = norm.sum(axis=1)
-        np.exp(np.subtract(lp, norm[:, None, :], out=ra), out=ra)
-        if a < r_count:
-            resp[active] = ra
-        old_ll = ll[active]
-        if np.any(new_ll < old_ll - 1e-9 * (1.0 + np.abs(old_ll))):
+        np.exp(np.subtract(lp, norm[:, None, :], out=resp), out=resp)
+        if np.any(new_ll < ll - 1e-9 * (1.0 + np.abs(ll))):
             raise ConvergenceError("EM log-likelihood decreased")
-        ll[active] = new_ll
-        going = ~(new_ll - old_ll < tol * (1.0 + np.abs(new_ll)))
-        active = active[going]
-        if len(active) == 0 or it == max_iter:
+        going &= ~(new_ll - ll < tol * (1.0 + np.abs(new_ll)))
+        ll = new_ll
+        if not going.any() or it == max_iter:
             break
-        if len(active) < a:
-            ra = ra[going]
-        iterations[active] += 1
-        nk = np.maximum(ra.sum(axis=2), 1e-300)
-        weights[active] = nk / m
-        mu = (ra @ x) / nk
-        means[active] = mu
-        sq = np.subtract(x, mu[:, :, None], out=lp_buf[: len(active)])
-        np.multiply(np.square(sq, out=sq), ra, out=sq)
-        variances[active] = np.maximum(sq.sum(axis=2) / nk, floor)
+        iterations += going
+        nk = np.maximum(resp.sum(axis=2), 1e-300)
+        mu = (resp @ x) / nk
+        sq = np.subtract(x, mu[:, :, None], out=lp)
+        np.multiply(np.square(sq, out=sq), resp, out=sq)
+        frozen = ~going[:, None]
+        weights = np.where(frozen, weights, nk / m)
+        means = np.where(frozen, means, mu)
+        variances = np.where(frozen, variances, np.maximum(sq.sum(axis=2) / nk, floor))
     return weights, means, variances, resp, ll, iterations
 
 

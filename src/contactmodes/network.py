@@ -367,14 +367,16 @@ def write_trace(net: TemporalNetwork, path: str | Path) -> None:
     """Write a network in the canonical CSV trace format.
 
     Labels come from the network's label map (dense ids stringified when
-    there is none), so re-ingesting a written ingested trace reproduces
-    the same events and node count.
+    there is none) and are quoted when they hold a comma or a quote;
+    times are written as ``repr``.  So re-ingesting a written ingested
+    trace reproduces the same events and node count.
     """
     inverse = net.inverse_labels()
     with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
-        for a, b, start, end in zip(*(col.tolist() for col in net.event_arrays)):
-            fh.write(f"{inverse[a]},{inverse[b]},{start!r},{end!r}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_HEADER)
+        rows = zip(*(col.tolist() for col in net.event_arrays))
+        writer.writerows((inverse[a], inverse[b], start, end) for a, b, start, end in rows)
 
 
 def write_label_map(net: TemporalNetwork, path: str | Path) -> None:

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -227,6 +228,43 @@ def test_jd_threaded_rounds_match_single_thread(monkeypatch):
             assert np.array_equal(threaded.off2_history, single.off2_history)
             assert np.array_equal(threaded.avg_diag, single.avg_diag)
             assert threaded.converged == single.converged
+
+
+def test_jd_caller_rotates_the_first_chunk(monkeypatch):
+    """The calling thread rotates the first chunk of every round and the
+    pool the others; a one-chunk stack starts no thread."""
+    calls, first = [], []
+    rotate_stack, rotate_chunk = jd_mod._rotate_stack, jd_mod._rotate_chunk
+
+    def stack_spy(pool, chunks, *args):
+        first[:] = chunks[:1]
+        rotate_stack(pool, chunks, *args)
+
+    def chunk_spy(c, *args):
+        calls.append((threading.get_ident(), c is first[0]))
+        rotate_chunk(c, *args)
+
+    monkeypatch.setattr(jd_mod, "_rotate_stack", stack_spy)
+    monkeypatch.setattr(jd_mod, "_rotate_chunk", chunk_spy)
+    monkeypatch.setattr(jd_mod, "_ENTRIES_PER_THREAD", 1)
+    rng = derive_rng(13, "jd-caller")
+    stack = rng.standard_normal((30, 8, 8))
+    stack = stack + stack.transpose(0, 2, 1)
+    caller = threading.get_ident()
+
+    monkeypatch.setattr(jd_mod.os, "cpu_count", lambda: 3)
+    joint_diagonalise(stack, tol=1e-12)
+    firsts = [thread for thread, is_first in calls if is_first]
+    others = [thread for thread, is_first in calls if not is_first]
+    assert firsts and len(others) == 2 * len(firsts)
+    assert set(firsts) == {caller} and caller not in others
+
+    calls.clear()
+    monkeypatch.setattr(jd_mod.os, "cpu_count", lambda: 1)
+    before = threading.active_count()
+    joint_diagonalise(stack, tol=1e-12)
+    assert calls and set(calls) == {(caller, True)}
+    assert threading.active_count() == before
 
 
 def test_jd_sweeps_match_the_reference_stack_bit_for_bit(monkeypatch):

@@ -232,6 +232,21 @@ def _three_bumps():
     return np.concatenate([rng.normal(0.0, 1.0, 150), rng.normal(4.0, 0.7, 100), rng.normal(9.0, 1.5, 80)])
 
 
+@pytest.mark.parametrize("tol", [1e-3, 1e-5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_batched_restarts_equal_each_seed_fitted_alone(k, tol):
+    """A restart that stops keeps its parameters while the rest of the
+    batch goes on, so it ends bit for bit as the same seed fitted alone."""
+    x = _three_bumps()
+    seeds = [modes_mod._restart_seed(3, k, r) for r in range(10)]
+    batched = modes_mod._em_restarts(x, k, seeds, 200, tol)
+    assert len(set(batched[5].tolist())) > 1  # the restarts stop at different M-steps
+    for r, seed in enumerate(seeds):
+        alone = modes_mod._em_restarts(x, k, [seed], 200, tol)
+        for got, want in zip(batched, alone):
+            assert np.array_equal(got[r], want[0])
+
+
 def test_select_modes_threaded_k_match_one_thread(monkeypatch):
     """Fitting the k on worker threads changes no bit of the result, even
     with more workers than cores and frequent switching."""

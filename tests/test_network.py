@@ -353,6 +353,19 @@ def test_trace_round_trip(tmp_path):
     assert again.label_map == net.label_map
 
 
+def test_trace_round_trip_quotes_labels_with_commas_and_quotes(tmp_path):
+    # the labels read back as the same strings, so the same ids and events
+    p = tmp_path / "t.csv"
+    p.write_text('node_a,node_b,start,end\n"x,1",y,0.0,1.0\n"say ""hi""",y,0.5,2.0\n"x,1","a,""b""",3.0,4.0\n')
+    net = ingest_trace(p)
+    assert set(net.label_map) == {"x,1", "y", 'say "hi"', 'a,"b"'}
+    out = tmp_path / "copy.csv"
+    write_trace(net, out)
+    again = ingest_trace(out)
+    assert again.label_map == net.label_map
+    assert _columns(again) == _columns(net)
+
+
 def test_label_map_round_trip(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(TRACE)
