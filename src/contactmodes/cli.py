@@ -99,7 +99,7 @@ def _prepare_out(path: str) -> Path:
 
 
 def _load_net(args: argparse.Namespace):
-    label_map = read_label_map(args.label_map) if getattr(args, "label_map", None) else None
+    label_map = read_label_map(args.label_map) if args.label_map else None
     return ingest_trace(
         args.trace,
         fmt=args.format,
@@ -112,11 +112,11 @@ def _load_net(args: argparse.Namespace):
 # core pipeline stages (shared between the subcommands and `repro`)
 
 
-def _stage_sample(source, m, seed, horizon, out: Path) -> list:
+def _stage_sample(source, m, seed, horizon, out: Path) -> tuple:
     batch = sample_batch(source, m, seed, horizon=horizon)
     path = out / "batch.txt"
     write_batch(batch, path)
-    return [path]
+    return batch, path
 
 
 def _write_jd(jd, out: Path, artefacts: list) -> None:
@@ -212,7 +212,8 @@ def _stage_synth(schedule, seed, tail_exponent, min_gap, out: Path) -> tuple:
 def _cmd_sample(args, out: Path, artefacts: list) -> None:
     net = _load_net(args)
     source = aggregate_static(net, net.t_min, net.t_max) if args.static else net
-    artefacts.extend(_stage_sample(source, args.m, args.seed, args.horizon, out))
+    _, batch_path = _stage_sample(source, args.m, args.seed, args.horizon, out)
+    artefacts.append(batch_path)
 
 
 def _analyse_batch(args):
@@ -258,10 +259,7 @@ def _cmd_repro(args, out: Path, artefacts: list) -> None:
     result, synth_art = _stage_synth(schedule, args.seed, args.tail_exponent, args.min_gap, synth_out)
     artefacts.extend(synth_art)
 
-    sample_out = _prepare_out(out / "sample")
-    batch = sample_batch(result.network, args.m, args.seed)
-    batch_path = sample_out / "batch.txt"
-    write_batch(batch, batch_path)
+    batch, batch_path = _stage_sample(result.network, args.m, args.seed, None, _prepare_out(out / "sample"))
     artefacts.append(batch_path)
 
     analyse_out = _prepare_out(out / "analyse")

@@ -5,6 +5,7 @@ exports."""
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,15 +21,9 @@ _CONNECTIVITY_TOL = 1e-9
 
 
 def _as_weight_matrix(w, allow_diagonal: bool = False) -> np.ndarray:
-    a = np.array(np.asarray(w), dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("weights must be finite")
-    err = float(np.abs(a - a.T).max(initial=0.0))
-    if err > 1e-9 * (1.0 + float(np.abs(a).max(initial=0.0))):
-        raise ValueError("weight matrix must be symmetric")
-    a = 0.5 * (a + a.T)
+    """Writable copy of a symmetric weight matrix (a StaticGraph is read by
+    its adjacency) with a zero diagonal and no negative weights."""
+    a = SymMatrix(w.adjacency if isinstance(w, StaticGraph) else w).values.copy()
     if not allow_diagonal:
         scale = 1.0 + float(np.abs(a).max(initial=0.0))
         if float(np.abs(np.diagonal(a)).max(initial=0.0)) > 1e-9 * scale:
@@ -68,12 +63,6 @@ class FiedlerResult:
         vec = np.asarray(self.vector, dtype=float)
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.vector, dtype=dtype)
-
-    def __len__(self) -> int:
-        return len(self.vector)
 
 
 def fiedler_vector(w) -> FiedlerResult:
@@ -209,12 +198,16 @@ def fiedler_dendrogram(w, min_size: int = 1) -> Dendrogram:
 
 
 def threshold_graph(hbar, tau: float) -> SymMatrix:
-    """Zero out entries strictly below the threshold."""
+    """Zero out entries strictly below the threshold.
+
+    ``hbar`` is read as a :class:`SymMatrix`, so a matrix that is not
+    square, finite and symmetric raises ``ValueError``.
+    """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    a = np.array(np.asarray(hbar), dtype=float)
+    a = SymMatrix(hbar).values.copy()
     a[a < tau] = 0.0
-    return SymMatrix.symmetrised(a)
+    return SymMatrix(a)
 
 
 def shortest_path_graph(
@@ -224,22 +217,20 @@ def shortest_path_graph(
 ) -> StaticGraph:
     """Subgraph of the edges lying on at least one weighted shortest path.
 
+    ``hbar`` is read as a :class:`SymMatrix`, so a matrix that is not
+    square, finite and symmetric raises ``ValueError``.  The diagonal is
+    ignored and tiny negative reconstruction artefacts are clamped to zero.
     Weights at most ``epsilon`` contribute no edge; the rest become
-    lengths 1/weight (or -log weight with ``transform='neglog'``).
-    All-pairs shortest paths are computed and an edge is kept when some
-    node pair has a co-minimal path through it, that is, when the edge is
-    itself a co-minimal path between its ends; kept edges retain their
-    original weights.  The diagonal is ignored and tiny negative
-    reconstruction artefacts are clamped to zero.
+    lengths 1/weight, or -log(min(weight, 1)) with ``transform='neglog'``:
+    a weight above 1 gets length 0, because a negative length on an
+    undirected edge would be a negative cycle.  All-pairs shortest paths
+    are computed and an edge is kept when some node pair has a co-minimal
+    path through it, that is, when the edge is itself a co-minimal path
+    between its ends; kept edges retain their original weights.
     """
     if transform not in ("reciprocal", "neglog"):
         raise ValueError(f"unknown transform {transform!r}")
-    a = np.array(np.asarray(hbar), dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("weights must be finite")
-    a = 0.5 * (a + a.T)
+    a = SymMatrix(hbar).values.copy()
     np.fill_diagonal(a, 0.0)
     np.clip(a, 0.0, None, out=a)
     n = a.shape[0]
@@ -249,7 +240,7 @@ def shortest_path_graph(
     if transform == "reciprocal":
         lengths[present] = 1.0 / a[present]
     else:
-        lengths[present] = -np.log(a[present])
+        lengths[present] = -np.log(np.minimum(a[present], 1.0))
     np.fill_diagonal(lengths, 0.0)
 
     d = lengths.copy()
@@ -269,33 +260,38 @@ def incident_weight(w) -> np.ndarray:
     return a.sum(axis=1)
 
 
-def graph_to_dot(graph, labels=None) -> str:
-    """DOT text for an undirected weighted graph.
-
-    Node circles scale with their incident weight sum; edge pen widths
-    scale with weight.
-    """
-    if isinstance(graph, StaticGraph):
-        a = graph.adjacency.values
-    else:
-        a = _as_weight_matrix(graph)
+def _edge_list(graph, labels) -> tuple[np.ndarray, list, list]:
+    """Weights, labels and the upper-triangle edges (i, j) in row-major
+    order of a graph given as a StaticGraph or a weight matrix."""
+    a = _as_weight_matrix(graph)
     n = a.shape[0]
     if labels is None:
         labels = [str(i) for i in range(n)]
     elif len(labels) != n:
         raise ValueError("need one label per node")
+    ii, jj = np.nonzero(np.triu(a, 1))
+    return a, labels, list(zip(ii.tolist(), jj.tolist()))
+
+
+def graph_to_dot(graph, labels=None) -> str:
+    """DOT text for an undirected weighted graph.
+
+    Node circles scale with their incident weight sum; edge pen widths
+    scale with weight.  Backslashes and double quotes in labels are
+    escaped.
+    """
+    a, labels, edges = _edge_list(graph, labels)
     sums = a.sum(axis=1)
     top = float(sums.max(initial=0.0))
     wmax = float(a.max(initial=0.0))
     lines = ["graph G {", "  node [shape=circle, fixedsize=true];"]
-    for i in range(n):
+    for i, label in enumerate(labels):
         size = 0.2 + (0.8 * sums[i] / top if top > 0 else 0.0)
-        lines.append(f'  {i} [label="{labels[i]}", width={size:.4f}];')
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j] > 0:
-                pen = 0.5 + (2.5 * a[i, j] / wmax if wmax > 0 else 0.0)
-                lines.append(f'  {i} -- {j} [weight={a[i, j]:.6g}, penwidth={pen:.4f}];')
+        quoted = str(label).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {i} [label="{quoted}", width={size:.4f}];')
+    for i, j in edges:
+        pen = 0.5 + (2.5 * a[i, j] / wmax if wmax > 0 else 0.0)
+        lines.append(f'  {i} -- {j} [weight={a[i, j]:.6g}, penwidth={pen:.4f}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -306,22 +302,13 @@ def write_dot(graph, path, labels=None) -> None:
 
 
 def write_edge_csv(graph, path, labels=None) -> None:
-    """Edge list as ``node_a,node_b,weight`` rows (header included)."""
-    if isinstance(graph, StaticGraph):
-        a = graph.adjacency.values
-    else:
-        a = _as_weight_matrix(graph)
-    n = a.shape[0]
-    if labels is None:
-        labels = [str(i) for i in range(n)]
-    elif len(labels) != n:
-        raise ValueError("need one label per node")
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        fh.write("node_a,node_b,weight\n")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if a[i, j] > 0:
-                    fh.write(f"{labels[i]},{labels[j]},{float(a[i, j])!r}\n")
+    """Edge list as ``node_a,node_b,weight`` rows (header included);
+    labels holding a comma or a quote are quoted."""
+    a, labels, edges = _edge_list(graph, labels)
+    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("node_a", "node_b", "weight"))
+        writer.writerows((labels[i], labels[j], float(a[i, j])) for i, j in edges)
 
 
 def to_newick(dendro: Dendrogram, labels=None) -> str:

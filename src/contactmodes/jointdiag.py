@@ -141,8 +141,12 @@ def off2(c) -> float:
 
 
 def project(h, basis: OrthoBasis) -> SymMatrix:
-    """Project a symmetric matrix into the basis: C = U^T H U."""
-    hv = np.asarray(h, dtype=float)
+    """Project a symmetric matrix into the basis: C = U^T H U.
+
+    ``h`` is read as a :class:`SymMatrix`, so a matrix that is not square,
+    finite and symmetric raises ``ValueError``.
+    """
+    hv = SymMatrix(h).values
     u = basis.values
     if hv.shape != (u.shape[0], u.shape[0]):
         raise ValueError(f"dimension mismatch: matrix {hv.shape} vs basis n={u.shape[0]}")
@@ -477,15 +481,12 @@ def eig_sym(m) -> tuple[np.ndarray, OrthoBasis]:
 
     Returns eigenvalues sorted descending and the matching orthonormal
     eigenvector basis (one eigenvector per column), each column signed so
-    its first entry above 1e-12 in magnitude is positive.
+    its first entry above 1e-12 in magnitude is positive.  ``m`` is read
+    as a :class:`SymMatrix`, so a matrix that is not square, finite and
+    symmetric raises ``ValueError``.
     """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
     try:
-        eigvals, v = np.linalg.eigh(a)
+        eigvals, v = np.linalg.eigh(SymMatrix(m).values)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
     order = np.argsort(-eigvals, kind="stable")

@@ -1,13 +1,18 @@
+import csv
+
 import numpy as np
 import pytest
 
 from contactmodes import (
+    OrthoBasis,
     StaticGraph,
     SymMatrix,
     derive_rng,
+    eig_sym,
     fiedler_dendrogram,
     fiedler_vector,
     graph_to_dot,
+    project,
     shortest_path_graph,
     threshold_graph,
     to_newick,
@@ -46,6 +51,27 @@ def test_laplacian_rows_sum_to_zero():
     lap = laplacian(a)
     assert np.allclose(lap.sum(axis=1), 0.0)
     assert np.allclose(lap, np.diag(a.sum(axis=1)) - a)
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        eig_sym,
+        lambda m: project(m, OrthoBasis(np.eye(2))),
+        lambda m: threshold_graph(m, 0.1),
+        shortest_path_graph,
+        laplacian,
+        zero_diagonal,
+        graph_to_dot,
+    ],
+    ids=["eig_sym", "project", "threshold_graph", "shortest_path_graph", "laplacian", "zero_diagonal", "graph_to_dot"],
+)
+def test_matrix_readers_reject_asymmetric_and_nonfinite(reader):
+    # every matrix entry point reads its input through SymMatrix
+    with pytest.raises(ValueError, match="symmetric"):
+        reader(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        reader(np.array([[0.0, np.inf], [np.inf, 0.0]]))
 
 
 def test_laplacian_input_validation():
@@ -211,6 +237,13 @@ def test_shortest_path_graph_transforms_disagree():
         shortest_path_graph(h, transform="what")
 
 
+def test_shortest_path_graph_neglog_weight_above_one():
+    # -log(1.5) < 0 would make 0-1 a negative cycle; the length is clamped to 0
+    h = np.array([[0.0, 1.5, 0.5], [1.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    g = shortest_path_graph(h, transform="neglog")
+    assert g.edges() == [(0, 1, 1.5), (0, 2, 0.5), (1, 2, 0.5)]
+
+
 def test_shortest_path_graph_epsilon_excludes_weak_edges():
     h = np.array([[0.0, 0.5, 0.01], [0.5, 0.0, 0.0], [0.01, 0.0, 0.0]])
     g = shortest_path_graph(h, epsilon=0.05)
@@ -272,6 +305,8 @@ def test_graph_to_dot_structure():
     assert "0 -- 1" in dot and "1 -- 2" in dot
     assert "penwidth" in dot
     assert dot.count("--") == 2
+    # a StaticGraph is read by its adjacency, as a weight matrix is
+    assert graph_to_dot(g) == graph_to_dot(g.adjacency)
 
 
 def test_write_dot_and_edge_csv(tmp_path):
@@ -282,6 +317,16 @@ def test_write_dot_and_edge_csv(tmp_path):
     lines = (tmp_path / "g.csv").read_text().strip().splitlines()
     assert lines[0].split(",")[:2] == ["node_a", "node_b"]
     assert len(lines) == 3
+
+
+def test_graph_exports_quote_labels(tmp_path):
+    g = StaticGraph.from_edges(2, [(0, 1, 0.5)])
+    labels = ['a,"b', "c"]
+    write_edge_csv(g, tmp_path / "g.csv", labels=labels)
+    with open(tmp_path / "g.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["node_a", "node_b", "weight"], ['a,"b', "c", "0.5"]]
+    assert '  0 [label="a,\\"b", ' in graph_to_dot(g, labels=labels)
 
 
 def test_write_newick(tmp_path):
