@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -313,11 +314,13 @@ def write_edge_csv(graph, path, labels=None) -> None:
 
 def to_newick(dendro: Dendrogram, labels=None) -> str:
     """Newick-style nested text for a dendrogram; multi-node leaves are
-    written as flat groups."""
+    written as flat groups.  A label holding whitespace or one of
+    ``,();:'`` is written in single quotes, with each ``'`` doubled."""
     if labels is None:
         labels = [str(i) for i in range(dendro.n_nodes)]
     elif len(labels) != dendro.n_nodes:
         raise ValueError("need one label per node")
+    labels = ["'" + s.replace("'", "''") + "'" if re.search(r"[,();:'\s]", s) else s for s in labels]
 
     def render(node: DendroNode) -> str:
         if node.is_leaf:

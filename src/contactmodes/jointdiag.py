@@ -8,25 +8,21 @@ the summed squared off-diagonal entries of the projections
 C_i = U^T H_i U.  Each sweep visits every index pair (p, q) and applies
 the closed-form Jacobi angle that is optimal for that pair across all
 matrices simultaneously (the dominant eigenvector of the accumulated
-2x2 matrix built from (C_i[p,p] - C_i[q,q], 2 C_i[p,q])).
+2x2 matrix built from (C_i[p,p] - C_i[q,q], 2 C_i[p,q]); Cardoso &
+Souloumiac, SIAM J. Matrix Anal. Appl. 17(1), 1996).
 
-The rotated stack is held with its samples innermost: one C-contiguous
-(n, n, samples) array per chunk of consecutive samples, so each pass of
-a round runs over long contiguous lines.  Stacks of at least
-2 * ``_ENTRIES_PER_THREAD`` entries are split into up to
-``os.cpu_count()`` chunks, one per thread.  Every round has one shape:
-the calling thread rotates the first chunk while a pool rotates the
-rest, so a one-chunk stack starts no thread.  Every rotation is
-elementwise within a sample and every sum runs over the samples in
-order, so the result does not depend on the split.
+Only the basis is rotated.  The matrices are held as coordinates on the
+upper-triangle entries they use, and the entries C_i[p,p], C_i[q,q] and
+C_i[p,q] that an angle reads are linear in them, so one matrix product
+per round of disjoint pairs gives them for every matrix and pair (see
+:func:`_pair_entries`).  Every round reads the input coordinates afresh,
+so no rotated stack exists to drift; parallelism comes from BLAS.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -40,12 +36,6 @@ from .network import SymMatrix
 # current total off2 are skipped: they cannot beat summation round-off, and
 # skipping them keeps the recorded off2 history genuinely non-increasing.
 _GAIN_GUARD = 1e-13
-
-# Stacks with fewer entries than this per thread are rotated in the
-# calling thread alone: below it, handing out chunks costs more than it saves.
-# Measured on two cores, whole joint diagonalisations of n=30 stacks ran
-# slower on two threads up to 162,000 entries and faster from 187,200.
-_ENTRIES_PER_THREAD = 90_000
 
 
 class OrthoBasis:
@@ -186,10 +176,11 @@ def _incidence(matrices) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.
     return incidence, ends, coef, n
 
 
-def _sweep_stack(incidence, ends, n: int) -> np.ndarray:
-    """The matrices the sweeps rotate: the M inputs themselves, or, when
-    they use fewer coordinates than there are matrices (E < M), the
-    eigenmatrices of the coordinate Gram.
+def _sweep_weights(incidence) -> np.ndarray:
+    """Coordinates W (r x E) of the matrices K_j = sum_e W[j, e] S_e that
+    the sweeps diagonalise: the M inputs themselves, or, when they use
+    fewer coordinates than there are matrices (E < M), the eigenmatrices
+    of the coordinate Gram.
 
     With B^T B = V diag(lam) V^T, the matrices K_j = sqrt(lam_j) sum_e
     V[e, j] S_e satisfy sum_j K_j (x) K_j = sum_i H_i (x) H_i.  Every
@@ -198,21 +189,66 @@ def _sweep_stack(incidence, ends, n: int) -> np.ndarray:
     K_j as on the M inputs.  This is the reduction JADE applies to its
     cumulant set (Cardoso & Souloumiac, IEE Proc. F 140(6), 1993).
     """
-    weights = incidence
-    if incidence.shape[1] < incidence.shape[0]:
-        b = incidence.astype(float, copy=False)
-        try:
-            lam, vecs = np.linalg.eigh(b.T @ b)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigensolver failed on the coordinate Gram matrix: {exc}") from exc
-        # eigenvalues at round-off level (the Gram is singular when inputs
-        # repeat) carry no mass; sqrt of a tiny negative one would be NaN
-        keep = lam > lam.max(initial=0.0) * len(lam) * np.finfo(float).eps
-        weights = (vecs[:, keep] * np.sqrt(lam[keep])).T
+    b = incidence.astype(float, copy=False)
+    if b.shape[1] >= b.shape[0]:
+        return b
+    try:
+        lam, vecs = np.linalg.eigh(b.T @ b)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed on the coordinate Gram matrix: {exc}") from exc
+    # eigenvalues at round-off level (the Gram is singular when inputs
+    # repeat) carry no mass; sqrt of a tiny negative one would be NaN
+    keep = lam > lam.max(initial=0.0) * len(lam) * np.finfo(float).eps
+    return (vecs[:, keep] * np.sqrt(lam[keep])).T
+
+
+def _matrices(weights, ends, n: int) -> np.ndarray:
+    """The dense (rows, n, n) stack of the given rows of weights."""
     stack = np.zeros((len(weights), n, n))
     stack[:, ends[0], ends[1]] = weights
     stack[:, ends[1], ends[0]] = weights
     return stack
+
+
+def _off2_total(weights, ends, u) -> float:
+    """Total off2 of the sweep matrices in the basis U, projecting
+    U^T K_j U for n matrices at a time.
+
+    The squared off-diagonal entries are summed directly: the identity
+    ||K_j||^2 - ||diag||^2 would cancel against the diagonal mass, whose
+    round-off lies far above the off2 of about 1e-28 that commuting sets
+    reach.
+    """
+    n = len(u)
+    idx = np.arange(n)
+    total = 0.0
+    for lo in range(0, len(weights), n):
+        c = u.T @ _matrices(weights[lo : lo + n], ends, n) @ u
+        c *= c
+        c[:, idx, idx] = 0.0
+        total += float(c.sum())
+    if not math.isfinite(total):
+        raise ConvergenceError("off2 went non-finite during joint diagonalisation")
+    return total
+
+
+def _pair_entries(weights, ends, coef, u, pp, qq) -> tuple[np.ndarray, np.ndarray]:
+    """h0 = C_j[p,p] - C_j[q,q] and h1 = 2 C_j[p,q] of every sweep matrix
+    C_j = U^T K_j U, for the pairs (p, q) of one round, as (pair, matrix)
+    arrays.
+
+    Both are linear in the coordinates: C_j[p,q] = sum_e W[j, e] coef[e]
+    (P_a Q_b + P_b Q_a) / 2 with P = U[:, p], Q = U[:, q] and (a, b) =
+    ends[e].  So one product of the weights with an E x 2k matrix gives
+    them all, and no matrix is ever rotated.
+    """
+    k = len(pp)
+    cols = u[:, np.concatenate([pp, qq])]
+    at_a, at_b = cols[ends[0]], cols[ends[1]]
+    pa, qa, pb, qb = at_a[:, :k], at_a[:, k:], at_b[:, :k], at_b[:, k:]
+    f = coef[:, None] * np.concatenate([pa * pb - qa * qb, pa * qb + pb * qa], axis=1)
+    h = f.T @ weights.T
+    return h[:k], h[k:]
 
 
 def _sample_diagonals(incidence, ends, coef, fro2, u) -> tuple[np.ndarray, np.ndarray]:
@@ -222,15 +258,6 @@ def _sample_diagonals(incidence, ends, coef, fro2, u) -> tuple[np.ndarray, np.nd
     # the subtraction cancels for nearly diagonal inputs; clip its round-off
     deviations = np.clip(fro2 - (diags * diags).sum(axis=1), 0.0, fro2)
     return diags, deviations
-
-
-def _off2_by_matrix(stack: np.ndarray) -> np.ndarray:
-    # zero the diagonals of a squared copy so the sum carries only
-    # off-diagonal round-off, not cancellation against the diagonal mass
-    s2 = stack * stack
-    idx = np.arange(stack.shape[1])
-    s2[:, idx, idx] = 0.0
-    return s2.sum(axis=(1, 2))
 
 
 def _pair_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -267,48 +294,6 @@ def _pair_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def _sample_chunks(m_count: int, n: int) -> list[slice]:
-    """Split the sample axis into at most ``os.cpu_count()`` contiguous,
-    nonempty chunks, one per thread (one empty chunk when there are no
-    samples)."""
-    workers = min(os.cpu_count() or 1, max(1, m_count), max(1, m_count * n * n // _ENTRIES_PER_THREAD))
-    bounds = np.linspace(0, m_count, workers + 1).astype(int)
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _rotate_chunk(c, buf, cos_f, sin_f, partner) -> None:
-    # one round in place on an (n, n, samples) chunk: every row, then every
-    # column, becomes cos * itself + sin * its partner; buf holds the
-    # gathered partners.  Each pass runs over n contiguous lines of
-    # n * samples entries, the column factors repeated across the samples.
-    # Method calls, not np.take / np.repeat: on the smallest stacks those
-    # wrappers cost more than the arithmetic.
-    n, _, samples = c.shape
-    c.take(partner, axis=0, out=buf, mode="clip")
-    c *= cos_f[:, None, None]
-    buf *= sin_f[:, None, None]
-    c += buf
-    c.take(partner, axis=1, out=buf, mode="clip")
-    lines, buf_lines = c.reshape(n, n * samples), buf.reshape(n, n * samples)
-    lines *= cos_f.repeat(samples)
-    buf_lines *= sin_f.repeat(samples)
-    lines += buf_lines
-
-
-def _rotate_stack(pool, chunks, bufs, cos_f, sin_f, partner) -> None:
-    """Apply one round of rotations to every chunk of the stack: the
-    calling thread rotates ``chunks[0]`` while the pool rotates the rest.
-
-    Chunks are disjoint runs of samples and every operation is
-    elementwise within a sample, so the result does not depend on how
-    the stack is split or on the thread schedule.
-    """
-    futures = [pool.submit(_rotate_chunk, c, buf, cos_f, sin_f, partner) for c, buf in zip(chunks[1:], bufs[1:])]
-    _rotate_chunk(chunks[0], bufs[0], cos_f, sin_f, partner)
-    for fut in futures:
-        fut.result()
-
-
 def joint_diagonalise(
     matrices,
     tol: float = 1e-9,
@@ -320,7 +305,7 @@ def joint_diagonalise(
     uses (:func:`_incidence`; a SampleBatch is never densified).  When
     there are fewer such entries than matrices, the sweeps run on the
     eigenmatrices of their Gram instead of the matrices themselves (see
-    :func:`_sweep_stack`), with the same history up to round-off.  Each
+    :func:`_sweep_weights`), with the same history up to round-off.  Each
     matrix's diagonal and deviation are read from its coordinates, so a
     SampleBatch and its ``matrices()`` give the same result bit for bit.
     (Where a node symmetry of the inputs swaps them, the objective has
@@ -352,11 +337,9 @@ def joint_diagonalise(
         raise ValueError("squared Frobenius norms of the input underflow; rescale the matrices")
     mean = np.zeros((n, n))
     mean[ends] = mean[ends[::-1]] = incidence.sum(axis=0) / len(incidence)
-    c = _sweep_stack(incidence, ends, n)
+    weights = _sweep_weights(incidence)
 
-    in_traces = np.einsum("mii->m", c)
-    in_fro2 = (c * c).sum(axis=(1, 2))
-    initial = float(_off2_by_matrix(c).sum())
+    initial = _off2_total(weights, ends, np.eye(n))
     history = [initial]
     converged = False
     u = np.eye(n)
@@ -368,84 +351,60 @@ def joint_diagonalise(
     try:
         _, seed_basis = eig_sym(mean)
         warm_u = seed_basis.values.copy()
-        warm_c = np.einsum("ki,mkl,lj->mij", warm_u, c, warm_u, optimize=True)
-        warm_off = float(_off2_by_matrix(warm_c).sum())
+        warm_off = _off2_total(weights, ends, warm_u)
         if warm_off <= initial:
-            u, c = warm_u, warm_c
+            u = warm_u
             history.append(warm_off)
-        del warm_c
     except ConvergenceError:
         pass
 
-    # the sweeps rotate (n, n, samples) chunks; the (r, n, n) stack goes
-    # before their rotation buffers come, which keeps the peak memory down
-    chunks = [np.ascontiguousarray(c[sl].transpose(1, 2, 0)) for sl in _sample_chunks(len(c), n)]
-    del c
-    bufs = [np.empty_like(chunk) for chunk in chunks]
     rounds = _pair_rounds(n)
     diag_idx = np.arange(n)
-    # threads start only on submit, so a one-chunk stack starts none
-    with ThreadPoolExecutor(max(1, len(chunks) - 1)) as pool:
-        for _ in range(max_sweeps):
-            rotations = 0
-            guard = _GAIN_GUARD * max(history[-1], np.finfo(float).tiny)
-            for pp, qq in rounds:
-                # (index, sample) arrays, the samples of all chunks in order:
-                # each angle sum runs along one contiguous line, so its bits
-                # do not depend on the chunking
-                diags = np.concatenate([chunk[diag_idx, diag_idx] for chunk in chunks], axis=1)
-                h0 = diags[pp] - diags[qq]
-                h1 = np.concatenate([chunk[pp, qq] + chunk[qq, pp] for chunk in chunks], axis=1)
-                g00 = (h0 * h0).sum(axis=1)
-                g01 = (h0 * h1).sum(axis=1)
-                g11 = (h1 * h1).sum(axis=1)
-                ton = g00 - g11
-                toff = 2.0 * g01
-                r = np.hypot(ton, toff)
-                # off2 decreases by (r - ton) / 4 under the optimal angle
-                active = (r - ton) / 4.0 > guard
-                if not active.any():
-                    continue
-                theta = 0.5 * np.arctan2(toff, ton + r)
-                # degenerate branch point (equal diagonals): quarter turn
-                theta[(toff == 0.0) & (ton + r <= 0.0)] = math.pi / 4.0
-                theta[~active] = 0.0
-                # a round pairs every index at most once, so the rotations act
-                # as one permutation-style update: each row mixes with its
-                # partner row, scaled by the pair's angle (p gets +sin, q -sin)
-                partner = diag_idx.copy()
-                partner[pp], partner[qq] = qq, pp
-                cos_f = np.ones(n)
-                sin_f = np.zeros(n)
-                cos_f[pp] = cos_f[qq] = np.cos(theta)
-                sin_f[pp] = np.sin(theta)
-                sin_f[qq] = -np.sin(theta)
-                _rotate_stack(pool, chunks, bufs, cos_f, sin_f, partner)
-                u = cos_f[None, :] * u + sin_f[None, :] * u[:, partner]
-                rotations += int(active.sum())
-            if rotations == 0:
-                converged = True
-                break
-            if not float(np.abs(u.T @ u - np.eye(n)).max()) <= 1e-10:
-                raise ConvergenceError("basis lost orthogonality during sweeps")
-            # each matrix summed C-ordered, as the (r, n, n) stack was
-            per_matrix = [_off2_by_matrix(np.ascontiguousarray(chunk.transpose(2, 0, 1))) for chunk in chunks]
-            current = float(np.concatenate(per_matrix).sum())
-            history.append(current)
-            if history[-2] - current < tol * initial:
-                converged = True
-                break
-
-    # similarity sanity: orthogonal conjugation preserves traces and norms
-    out_traces = np.concatenate([np.einsum("iim->m", chunk) for chunk in chunks])
-    out_fro2 = np.concatenate([(chunk * chunk).sum(axis=(0, 1)) for chunk in chunks])
-    # written as "not within bound" so that a NaN drift fails them too; the
-    # initial values cover the empty Gram stack of inputs that are all zero
-    scale = 1.0 + np.abs(in_traces)
-    if not np.abs(out_traces - in_traces).max(initial=0.0) <= 1e-8 * scale.max(initial=1.0):
-        raise ConvergenceError("trace drifted during joint diagonalisation")
-    if not np.abs(out_fro2 - in_fro2).max(initial=0.0) <= 1e-8 * (1.0 + in_fro2.max(initial=0.0)):
-        raise ConvergenceError("Frobenius norm drifted during joint diagonalisation")
+    for _ in range(max_sweeps):
+        rotations = 0
+        guard = _GAIN_GUARD * max(history[-1], np.finfo(float).tiny)
+        for pp, qq in rounds:
+            h0, h1 = _pair_entries(weights, ends, coef, u, pp, qq)
+            g00 = (h0 * h0).sum(axis=1)
+            g01 = (h0 * h1).sum(axis=1)
+            g11 = (h1 * h1).sum(axis=1)
+            ton = g00 - g11
+            toff = 2.0 * g01
+            r = np.hypot(ton, toff)
+            # r is non-finite whenever an angle sum is; such a round would
+            # otherwise look inactive and end the sweeps as converged
+            if not np.isfinite(r).all():
+                raise ConvergenceError("angle sums went non-finite during joint diagonalisation")
+            # off2 decreases by (r - ton) / 4 under the optimal angle
+            active = (r - ton) / 4.0 > guard
+            if not active.any():
+                continue
+            theta = 0.5 * np.arctan2(toff, ton + r)
+            # degenerate branch point (equal diagonals): quarter turn
+            theta[(toff == 0.0) & (ton + r <= 0.0)] = math.pi / 4.0
+            theta[~active] = 0.0
+            # a round pairs every index at most once, so the rotations act
+            # as one permutation-style update: each column mixes with its
+            # partner column, scaled by the pair's angle (p gets +sin, q -sin)
+            partner = diag_idx.copy()
+            partner[pp], partner[qq] = qq, pp
+            cos_f = np.ones(n)
+            sin_f = np.zeros(n)
+            cos_f[pp] = cos_f[qq] = np.cos(theta)
+            sin_f[pp] = np.sin(theta)
+            sin_f[qq] = -np.sin(theta)
+            u = cos_f[None, :] * u + sin_f[None, :] * u[:, partner]
+            rotations += int(active.sum())
+        if rotations == 0:
+            converged = True
+            break
+        if not float(np.abs(u.T @ u - np.eye(n)).max()) <= 1e-10:
+            raise ConvergenceError("basis lost orthogonality during sweeps")
+        current = _off2_total(weights, ends, u)
+        history.append(current)
+        if history[-2] - current < tol * initial:
+            converged = True
+            break
 
     diags, deviations = _sample_diagonals(incidence, ends, coef, fro2, u)
     avg_diag = diags.mean(axis=0)

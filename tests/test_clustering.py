@@ -186,6 +186,14 @@ def test_newick_export():
         to_newick(dendro, labels=["x"])
 
 
+def test_newick_quotes_labels_holding_delimiters():
+    # nodes 0 and 1 are strongly linked, node 2 hangs off both
+    a = np.array([[0.0, 1.0, 0.1], [1.0, 0.0, 0.1], [0.1, 0.1, 0.0]])
+    dendro = fiedler_dendrogram(a)
+    assert to_newick(dendro, labels=["a,b", "c(d)", "e;'f"]) == "(('a,b','c(d)'),'e;''f');\n"
+    assert to_newick(dendro, labels=["x:1", "y z", "w"]) == "(('x:1','y z'),w);\n"
+
+
 # ---------------------------------------------------------------------------
 # Presentation graphs
 

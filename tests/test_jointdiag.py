@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -174,104 +171,82 @@ def test_jd_zero_diagonal_tree_matrices_converge():
     assert hist[-1] < hist[0]
 
 
-def test_rotate_chunk_rotates_rows_then_columns_of_every_sample():
-    """One round on a samples-innermost chunk gives, bit for bit, the
-    rows-then-columns rotation of each (n, n) matrix, with an index left
-    unpaired (odd n)."""
-    rng = derive_rng(16, "jd-kernel")
-    n = 7
-    stack = rng.standard_normal((5, n, n))
-    pp, qq = jd_mod._pair_rounds(n)[2]
-    theta = rng.standard_normal(len(pp))
-    partner = np.arange(n)
-    partner[pp], partner[qq] = qq, pp
-    cos_f, sin_f = np.ones(n), np.zeros(n)
-    cos_f[pp] = cos_f[qq] = np.cos(theta)
-    sin_f[pp], sin_f[qq] = np.sin(theta), -np.sin(theta)
-    chunk = np.ascontiguousarray(stack.transpose(1, 2, 0))
-    jd_mod._rotate_chunk(chunk, np.empty_like(chunk), cos_f, sin_f, partner)
-    rows = cos_f[None, :, None] * stack + sin_f[None, :, None] * stack[:, partner, :]
-    want = cos_f[None, None, :] * rows + sin_f[None, None, :] * rows[:, :, partner]
-    assert np.array_equal(chunk.transpose(2, 0, 1), want)
+def _brute_pair_entries(stack, u, pp, qq):
+    """h0 = C[p,p] - C[q,q] and h1 = 2 C[p,q] of every C = U^T H U, as
+    (pair, matrix) arrays, from the quadruple-loop projection."""
+    c = np.array([brute_project(h, u) for h in stack])
+    return (c[:, pp, pp] - c[:, qq, qq]).T, 2.0 * c[:, pp, qq].T
 
 
-def test_jd_threaded_rounds_match_single_thread(monkeypatch):
-    """Splitting the stack over worker threads changes no bit of the
-    result, even with uneven chunks, more workers than cores or than
-    samples, and frequent switching: on a dense stack, on a short one, on
-    the Gram eigenmatrices of a batch, and on the empty Gram stack of
-    inputs that are all zero."""
+def _loop_matrices(weights, ends, n):
+    """The sweep matrices K_j = sum_e W[j, e] S_e, entry by entry."""
+    out = np.zeros((len(weights), n, n))
+    for j, row in enumerate(weights):
+        for w, a, b in zip(row, *ends):
+            out[j, a, b] = out[j, b, a] = w
+    return out
+
+
+@pytest.mark.parametrize("source", ["batch", "compressed-batch", "full-diagonal-stack"])
+def test_pair_entries_match_the_projected_matrices(source):
+    """Every round's h0 and h1, read from one product of the sweep weights,
+    are the entries of U^T K_j U for a random orthogonal U, and their angle
+    sums are those of the inputs H_i; n = 7 leaves one index unpaired."""
+    rng = derive_rng(16, "jd-pairs")
+    if source == "full-diagonal-stack":
+        x = rng.standard_normal((6, 7, 7))
+        x = x + x.transpose(0, 2, 1)
+        dense = x
+    else:
+        x = sample_batch(_seven_node_graph(), 5 if source == "batch" else 200, seed=3)
+        dense = x.matrices()
+    incidence, ends, coef, n = jd_mod._incidence(x)
+    assert _is_compressed(x) == (source == "compressed-batch")
+    if source == "full-diagonal-stack":
+        assert np.any(ends[0] == ends[1]) and np.array_equal(coef == 1.0, ends[0] == ends[1])
+    weights = jd_mod._sweep_weights(incidence)
+    sweep = _loop_matrices(weights, ends, n)
+    if not _is_compressed(x):
+        assert np.array_equal(sweep, dense)
+    u = _random_orthogonal(n, rng)
+    for pp, qq in jd_mod._pair_rounds(n):
+        assert len(pp) == 3
+        got = jd_mod._pair_entries(weights, ends, coef, u, pp, qq)
+        for h, want in zip(got, _brute_pair_entries(sweep, u, pp, qq)):
+            assert np.abs(h - want).max() <= 1e-12 * np.abs(want).max()
+        # the angle sums g00, g01, g11 are those of the inputs themselves
+        inputs = _brute_pair_entries(dense, u, pp, qq)
+        scale = sum((h * h).sum(axis=1) for h in inputs).max()
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            want = (inputs[a] * inputs[b]).sum(axis=1)
+            assert np.abs((got[a] * got[b]).sum(axis=1) - want).max() <= 1e-12 * scale
+
+
+def test_jd_runs_are_deterministic():
+    """Two runs on the same input agree bit for bit: on a dense stack, on a
+    short one, on the Gram eigenmatrices of a batch, and on inputs that
+    are all zero, which have no sweep weights at all."""
     rng = derive_rng(12, "jd-threads")
     stack = rng.standard_normal((37, 9, 9))
     stack = stack + stack.transpose(0, 2, 1)
     batch = sample_batch(_seven_node_graph(), 200, seed=5)
     inputs = (stack, stack[:5], batch, np.zeros((4, 6, 6)))
-    singles = [joint_diagonalise(x, tol=1e-12) for x in inputs]
-    assert singles[3].converged and np.array_equal(singles[3].deviations, np.zeros(4))
+    firsts = [joint_diagonalise(x, tol=1e-12) for x in inputs]
+    assert firsts[3].converged and np.array_equal(firsts[3].deviations, np.zeros(4))
     assert len(_sweep_stack(inputs[3])) == 0
-    monkeypatch.setattr(jd_mod, "_ENTRIES_PER_THREAD", 1)
-    for workers, sizes, short_sizes in ((3, [12, 12, 13], [1, 2, 2]), (8, [4, 5, 4, 5, 5, 4, 5, 5], [1] * 5)):
-        monkeypatch.setattr(jd_mod.os, "cpu_count", lambda w=workers: w)
-        assert [sl.stop - sl.start for sl in jd_mod._sample_chunks(37, 9)] == sizes
-        assert [sl.stop - sl.start for sl in jd_mod._sample_chunks(5, 9)] == short_sizes
-        assert len(jd_mod._sample_chunks(len(_sweep_stack(batch)), batch.n_nodes)) == workers
-        assert jd_mod._sample_chunks(0, 6) == [slice(0, 0)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [joint_diagonalise(x, tol=1e-12) for x in inputs]
-        finally:
-            sys.setswitchinterval(interval)
-        for threaded, single in zip(threads, singles):
-            assert np.array_equal(threaded.basis.values, single.basis.values)
-            assert np.array_equal(threaded.deviations, single.deviations)
-            assert np.array_equal(threaded.off2_history, single.off2_history)
-            assert np.array_equal(threaded.avg_diag, single.avg_diag)
-            assert threaded.converged == single.converged
+    for again, first in zip([joint_diagonalise(x, tol=1e-12) for x in inputs], firsts):
+        assert np.array_equal(again.basis.values, first.basis.values)
+        assert np.array_equal(again.deviations, first.deviations)
+        assert np.array_equal(again.off2_history, first.off2_history)
+        assert np.array_equal(again.avg_diag, first.avg_diag)
+        assert again.converged == first.converged
 
 
-def test_jd_caller_rotates_the_first_chunk(monkeypatch):
-    """The calling thread rotates the first chunk of every round and the
-    pool the others; a one-chunk stack starts no thread."""
-    calls, first = [], []
-    rotate_stack, rotate_chunk = jd_mod._rotate_stack, jd_mod._rotate_chunk
-
-    def stack_spy(pool, chunks, *args):
-        first[:] = chunks[:1]
-        rotate_stack(pool, chunks, *args)
-
-    def chunk_spy(c, *args):
-        calls.append((threading.get_ident(), c is first[0]))
-        rotate_chunk(c, *args)
-
-    monkeypatch.setattr(jd_mod, "_rotate_stack", stack_spy)
-    monkeypatch.setattr(jd_mod, "_rotate_chunk", chunk_spy)
-    monkeypatch.setattr(jd_mod, "_ENTRIES_PER_THREAD", 1)
-    rng = derive_rng(13, "jd-caller")
-    stack = rng.standard_normal((30, 8, 8))
-    stack = stack + stack.transpose(0, 2, 1)
-    caller = threading.get_ident()
-
-    monkeypatch.setattr(jd_mod.os, "cpu_count", lambda: 3)
-    joint_diagonalise(stack, tol=1e-12)
-    firsts = [thread for thread, is_first in calls if is_first]
-    others = [thread for thread, is_first in calls if not is_first]
-    assert firsts and len(others) == 2 * len(firsts)
-    assert set(firsts) == {caller} and caller not in others
-
-    calls.clear()
-    monkeypatch.setattr(jd_mod.os, "cpu_count", lambda: 1)
-    before = threading.active_count()
-    joint_diagonalise(stack, tol=1e-12)
-    assert calls and set(calls) == {(caller, True)}
-    assert threading.active_count() == before
-
-
-def test_jd_sweeps_match_the_reference_stack_bit_for_bit(monkeypatch):
+def test_jd_sweeps_match_the_reference_stack():
     """Tree matrices have an exact mean, so on the uncompressed side the
-    sweeps over samples-innermost chunks take the steps of the reference
-    sweeps over the (samples, n, n) stack bit for bit: the angle sums add
-    the samples in the same order, in one chunk or several."""
+    coordinate sweeps take the steps of the reference sweeps over the
+    rotated (samples, n, n) stack, up to the round-off of reading the
+    pair entries from coordinates instead of a rotated stack."""
     rng = derive_rng(17, "jd-layout")
     samples = []
     for _ in range(24):
@@ -281,12 +256,12 @@ def test_jd_sweeps_match_the_reference_stack_bit_for_bit(monkeypatch):
     batch = SampleBatch(tuple(samples), n_nodes=12, seed=0)
     assert len(_sweep_stack(batch)) == 24  # E >= M: the trees themselves are swept
     want = reference_joint_diagonalise(batch.matrices(), tol=1e-12)
-    monkeypatch.setattr(jd_mod, "_ENTRIES_PER_THREAD", 1)
-    for workers in (1, 5):
-        monkeypatch.setattr(jd_mod.os, "cpu_count", lambda w=workers: w)
-        got = joint_diagonalise(batch, tol=1e-12)
-        assert np.array_equal(got.off2_history, want.off2_history)
-        assert np.array_equal(got.basis.values, want.basis.values)
+    got = joint_diagonalise(batch, tol=1e-12)
+    assert len(got.off2_history) == len(want.off2_history)
+    assert np.abs(got.off2_history - want.off2_history).max() <= 1e-12 * want.off2_history[0]
+    assert np.abs(got.basis.values - want.basis.values).max() <= 1e-12
+    fro2 = (batch.matrices() ** 2).sum(axis=(1, 2))
+    assert np.abs(got.deviations - want.deviations).max() <= 1e-12 * fro2.max()
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +298,9 @@ def _distinct_edges(batch):
 
 
 def _sweep_stack(x):
+    """The sweep weights of an input, scattered into dense matrices."""
     incidence, ends, _, n = jd_mod._incidence(x)
-    return jd_mod._sweep_stack(incidence, ends, n)
+    return jd_mod._matrices(jd_mod._sweep_weights(incidence), ends, n)
 
 
 def _is_compressed(x):
@@ -406,12 +382,12 @@ def test_jd_gram_stack_carries_the_dense_mean_and_norms():
     # their column sums give the dense mean bit for bit
     assert np.array_equal(incidence, dense[:, ends[0], ends[1]] == 1.0)
     assert np.array_equal(incidence.sum(axis=0) / 60, dense.mean(axis=0)[ends])
-    stack = jd_mod._sweep_stack(incidence, ends, n)
+    stack = jd_mod._matrices(jd_mod._sweep_weights(incidence), ends, n)
     assert len(stack) <= incidence.shape[1]
     # every quadratic quantity of the sweeps: sum_j K_j (x) K_j = sum_i H_i (x) H_i
     assert np.allclose(np.einsum("jab,jcd->abcd", stack, stack), np.einsum("iab,icd->abcd", dense, dense),
                        atol=1e-12)
-    # with as many coordinates as matrices the sweeps rotate the matrices;
+    # with as many coordinates as matrices the sweeps read the matrices;
     # with one matrix more, the rank-two Gram of the two distinct trees
     assert np.array_equal(_sweep_stack(_path_and_star(9)), _path_and_star(9).matrices())
     assert len(_sweep_stack(_path_and_star(10))) == 2
@@ -526,20 +502,29 @@ def test_jd_rejects_asymmetric_matrices():
     assert joint_diagonalise(a).n == 5
 
 
-def test_jd_non_finite_drift_fails(monkeypatch):
-    # a NaN that enters the stack mid-sweep must fail the drift checks; the
-    # chunks hold the samples innermost, so this is entry (0, 1) of sample 0
-    rotate = jd_mod._rotate_chunk
+def test_jd_non_finite_angle_sums_fail(monkeypatch):
+    # a NaN in one round's pair entries makes that round look inactive; it
+    # must raise, never end the sweeps as converged
+    pair_entries = jd_mod._pair_entries
+    calls = []
 
-    def poisoned(c, *args):
-        rotate(c, *args)
-        c[0, 1, 0] = np.nan
+    def poisoned(*args):
+        h0, h1 = pair_entries(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            h0[0, 0] = np.nan
+        return h0, h1
 
-    monkeypatch.setattr(jd_mod, "_rotate_chunk", poisoned)
+    monkeypatch.setattr(jd_mod, "_pair_entries", poisoned)
     rng = derive_rng(9, "jd")
     mats = [SymMatrix.symmetrised(rng.standard_normal((6, 6))) for _ in range(5)]
-    with pytest.raises(ConvergenceError, match="drifted"):
+    with pytest.raises(ConvergenceError, match="angle sums went non-finite"):
         joint_diagonalise(mats)
+    assert len(calls) == 3
+    # and a non-finite off2 total fails too
+    _, ends, _, n = jd_mod._incidence(mats)
+    with pytest.raises(ConvergenceError, match="off2 went non-finite"):
+        jd_mod._off2_total(np.full((2, len(ends[0])), np.nan), ends, np.eye(n))
 
 
 def test_jd_leaves_its_input_unchanged():
