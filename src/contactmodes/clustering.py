@@ -21,14 +21,13 @@ from .network import StaticGraph, SymMatrix
 _CONNECTIVITY_TOL = 1e-9
 
 
-def _as_weight_matrix(w, allow_diagonal: bool = False) -> np.ndarray:
+def _as_weight_matrix(w) -> np.ndarray:
     """Writable copy of a symmetric weight matrix (a StaticGraph is read by
     its adjacency) with a zero diagonal and no negative weights."""
     a = SymMatrix(w.adjacency if isinstance(w, StaticGraph) else w).values.copy()
-    if not allow_diagonal:
-        scale = 1.0 + float(np.abs(a).max(initial=0.0))
-        if float(np.abs(np.diagonal(a)).max(initial=0.0)) > 1e-9 * scale:
-            raise ValueError("weight matrix must have a zero diagonal")
+    scale = 1.0 + float(np.abs(a).max(initial=0.0))
+    if float(np.abs(np.diagonal(a)).max(initial=0.0)) > 1e-9 * scale:
+        raise ValueError("weight matrix must have a zero diagonal")
     np.fill_diagonal(a, 0.0)
     if a.min(initial=0.0) < -1e-12:
         raise ValueError("weights must be nonnegative")
@@ -253,12 +252,6 @@ def shortest_path_graph(
     keep = present & (lengths <= d + 1e-9 * (1.0 + np.abs(d)))
 
     return StaticGraph(SymMatrix(np.where(keep, a, 0.0)))
-
-
-def incident_weight(w) -> np.ndarray:
-    """Per-node sum of incident edge weights."""
-    a = _as_weight_matrix(w, allow_diagonal=True)
-    return a.sum(axis=1)
 
 
 def _edge_list(graph, labels) -> tuple[np.ndarray, list, list]:

@@ -33,8 +33,10 @@ from .errors import ConvergenceError
 from .network import SymMatrix
 
 # Rotations whose predicted off2 decrease falls below _GAIN_GUARD times the
-# current total off2 are skipped: they cannot beat summation round-off, and
-# skipping them keeps the recorded off2 history genuinely non-increasing.
+# current total off2, or below eps^2 times the inputs' summed squared norm,
+# are skipped: they cannot beat summation round-off, and skipping them keeps
+# the recorded off2 history genuinely non-increasing.  The second floor
+# holds once off2 itself is round-off (a single tree's off2 reaches 1e-30).
 _GAIN_GUARD = 1e-13
 
 
@@ -338,6 +340,7 @@ def joint_diagonalise(
     mean = np.zeros((n, n))
     mean[ends] = mean[ends[::-1]] = incidence.sum(axis=0) / len(incidence)
     weights = _sweep_weights(incidence)
+    round_off = np.finfo(float).eps ** 2 * float(fro2.sum())
 
     initial = _off2_total(weights, ends, np.eye(n))
     history = [initial]
@@ -362,7 +365,7 @@ def joint_diagonalise(
     diag_idx = np.arange(n)
     for _ in range(max_sweeps):
         rotations = 0
-        guard = _GAIN_GUARD * max(history[-1], np.finfo(float).tiny)
+        guard = max(_GAIN_GUARD * max(history[-1], np.finfo(float).tiny), round_off)
         for pp, qq in rounds:
             h0, h1 = _pair_entries(weights, ends, coef, u, pp, qq)
             g00 = (h0 * h0).sum(axis=1)

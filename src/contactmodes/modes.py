@@ -130,18 +130,26 @@ def _variance_floor(x: np.ndarray) -> float:
     return 1e-12
 
 
-def _log_joint(x, weights, means, variances, out=None):
+def _log_joint(x, weights, means, variances):
     # (R, K, M) array of log(w_rj) + log N(x_i; mu_rj, var_rj) for R
-    # parameter sets given as (R, K) arrays, written into ``out`` when
-    # given; samples run along the last, contiguous axis so reductions
-    # over the few components stay fast.  The ufuncs run in the order of
-    # log(w) - 0.5 * (log(2 pi var) + (x - mu)**2 / var), in place
-    lp = np.subtract(x, means[:, :, None], out=out)
-    np.square(lp, out=lp)
-    np.divide(lp, variances[:, :, None], out=lp)
-    np.add(np.log(2.0 * math.pi * variances)[:, :, None], lp, out=lp)
-    np.multiply(0.5, lp, out=lp)
-    return np.subtract(np.log(weights)[:, :, None], lp, out=lp)
+    # parameter sets given as (R, K) arrays; samples run along the last,
+    # contiguous axis so reductions over the few components stay fast
+    return _weigh_squares(_squares(x, means), weights, variances)
+
+
+def _squares(x, means, out=None):
+    # (x - mu)**2 as an (R, K, M) array, in place
+    sq = np.subtract(x, means[:, :, None], out=out)
+    return np.square(sq, out=sq)
+
+
+def _weigh_squares(sq, weights, variances):
+    # turns the squares into the log-joint in place, with the ufuncs in
+    # the order of log(w) - 0.5 * (log(2 pi var) + (x - mu)**2 / var)
+    np.divide(sq, variances[:, :, None], out=sq)
+    np.add(np.log(2.0 * math.pi * variances)[:, :, None], sq, out=sq)
+    np.multiply(0.5, sq, out=sq)
+    return np.subtract(np.log(weights)[:, :, None], sq, out=sq)
 
 
 def _log_norm(lp, scratch=None):
@@ -202,7 +210,9 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
     The two (R, k, M) work arrays, ``resp`` and the log-joint, are
     allocated once, or taken from ``work`` (a flat float array of at
     least 2 R k M entries, which ``resp`` then views), so no iteration
-    allocates one.
+    allocates one.  Each M-step squares the distances to the new means
+    once: weighted into the spent ``resp`` they give the variances, and
+    the next E-step turns them into the log-joint in place.
     """
     m = len(x)
     r_count = len(seeds)
@@ -233,11 +243,11 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
     if work is None:
         work = np.empty(2 * size)
     resp = work[:size].reshape(r_count, k, m)
-    lp = work[size : 2 * size].reshape(r_count, k, m)
+    lp = _squares(x, means, out=work[size : 2 * size].reshape(r_count, k, m))
     for it in range(max_iter + 1):
         # the previous responsibilities are spent: ``resp`` is the
         # scratch of the log-sum-exp
-        norm = _log_norm(_log_joint(x, weights, means, variances, out=lp), resp)
+        norm = _log_norm(_weigh_squares(lp, weights, variances), resp)
         new_ll = norm.sum(axis=1)
         np.exp(np.subtract(lp, norm[:, None, :], out=resp), out=resp)
         if np.any(new_ll < ll - 1e-9 * (1.0 + np.abs(ll))):
@@ -248,13 +258,14 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
             break
         iterations += going
         nk = np.maximum(resp.sum(axis=2), 1e-300)
-        mu = (resp @ x) / nk
-        sq = np.subtract(x, mu[:, :, None], out=lp)
-        np.multiply(np.square(sq, out=sq), resp, out=sq)
         frozen = ~going[:, None]
+        means = np.where(frozen, means, (resp @ x) / nk)
+        # a stopped restart's squares come from its kept means, so the
+        # next E-step gives it the same log-joint as before
+        _squares(x, means, out=lp)
+        np.multiply(resp, lp, out=resp)
         weights = np.where(frozen, weights, nk / m)
-        means = np.where(frozen, means, mu)
-        variances = np.where(frozen, variances, np.maximum(sq.sum(axis=2) / nk, floor))
+        variances = np.where(frozen, variances, np.maximum(resp.sum(axis=2) / nk, floor))
     return weights, means, variances, resp, ll, iterations
 
 

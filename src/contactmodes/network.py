@@ -170,10 +170,6 @@ class TemporalNetwork:
             return 0
         return int(math.floor((self.t_max - self.t_min) / self.granularity)) + 1
 
-    def step_of(self, t: float) -> int:
-        """Discrete step index of timestamp ``t``."""
-        return int(math.floor((t - self.t_min) / self.granularity))
-
     @property
     def event_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The stored columns ``(a, b, start, end)``."""

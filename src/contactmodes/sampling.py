@@ -168,6 +168,10 @@ def flood_tree(
     ev_a, ev_b, ev_start, _ = net.event_arrays
     m = len(ev_start)
     cutoff = start + horizon if horizon is not None else np.inf
+    i = int(np.searchsorted(ev_start, start, side="left"))
+    # indexing a memoryview of a column gives a Python int or float, so the
+    # loop below pays none of numpy's per-element scalar cost
+    ev_a, ev_b, ev_start = memoryview(ev_a), memoryview(ev_b), memoryview(ev_start)
 
     informed = bytearray(n)
     informed[root] = 1
@@ -175,7 +179,6 @@ def flood_tree(
     parent: dict[int, int] = {}
     times: dict[int, float] = {root: start}
 
-    i = int(np.searchsorted(ev_start, start, side="left"))
     while i < m and n_informed < n:
         t = ev_start[i]
         if t >= cutoff:
@@ -183,13 +186,15 @@ def flood_tree(
         j = i + 1
         while j < m and ev_start[j] == t:
             j += 1
-        if j - i > 1 and rng is not None:
-            idx = i + rng.permutation(j - i)
+        if j - i == 1:
+            idx = (i,)
+        elif rng is not None:
+            idx = (i + rng.permutation(j - i)).tolist()
         else:
             idx = range(i, j)
         for k in idx:
-            a = int(ev_a[k])
-            b = int(ev_b[k])
+            a = ev_a[k]
+            b = ev_b[k]
             ia, ib = informed[a], informed[b]
             if ia == ib:
                 continue
@@ -200,7 +205,7 @@ def flood_tree(
             informed[receiver] = 1
             n_informed += 1
             parent[receiver] = sender
-            times[receiver] = float(t)
+            times[receiver] = t
         i = j
 
     return TreeSample(

@@ -68,6 +68,8 @@ def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100)
     n = c.shape[1]
     history = [float(_reference_off2(c).sum())]
     initial = history[0]
+    # gains below eps^2 times the inputs' summed squared norm are round-off
+    round_off = np.finfo(float).eps ** 2 * float((c * c).sum())
     u = np.eye(n)
     try:
         warm_u = eig_sym(c.mean(axis=0))[1].values.copy()
@@ -83,7 +85,7 @@ def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100)
     converged = False
     for _ in range(max_sweeps):
         rotations = 0
-        guard = _GAIN_GUARD * max(history[-1], np.finfo(float).tiny)
+        guard = max(_GAIN_GUARD * max(history[-1], np.finfo(float).tiny), round_off)
         for pp, qq in _pair_rounds(n):
             h0 = c[:, pp, pp] - c[:, qq, qq]
             h1 = c[:, pp, qq] + c[:, qq, pp]
@@ -195,6 +197,43 @@ def temporal_reachable(events, n: int, root: int, start: float, horizon=None) ->
         elif b in reached and a not in reached:
             reached.add(a)
     return reached
+
+
+def reference_flood_tree(net, root: int, start: float, horizon=None, rng=None) -> tuple:
+    """The documented flood, written plainly: walk the events at or after
+    ``start`` in stored order, group by shared timestamp, stop before a
+    group at or past ``start + horizon`` or once every node holds the
+    message, and shuffle each group of two or more with
+    ``rng.permutation`` (the only draw).  Returns ``(parent,
+    infection_times, partial)``."""
+    ev_a, ev_b, ev_start, _ = net.event_arrays
+    cutoff = math.inf if horizon is None else start + horizon
+    groups: list[list[int]] = []
+    for k in range(len(ev_start)):
+        if ev_start[k] < start:
+            continue
+        if groups and ev_start[groups[-1][0]] == ev_start[k]:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    informed = {root}
+    parent: dict = {}
+    times = {root: start}
+    for group in groups:
+        t = ev_start[group[0]]
+        if len(informed) == net.n_nodes or t >= cutoff:
+            break
+        if len(group) > 1 and rng is not None:
+            group = [group[0] + int(d) for d in rng.permutation(len(group))]
+        for k in group:
+            a, b = int(ev_a[k]), int(ev_b[k])
+            if (a in informed) == (b in informed):
+                continue
+            sender, receiver = (a, b) if a in informed else (b, a)
+            informed.add(receiver)
+            parent[receiver] = sender
+            times[receiver] = float(t)
+    return parent, times, len(informed) < net.n_nodes
 
 
 def is_forest(n: int, edges) -> bool:

@@ -19,7 +19,6 @@ from contactmodes import (
     zero_diagonal,
 )
 from contactmodes.clustering import (
-    incident_weight,
     laplacian,
     write_dot,
     write_edge_csv,
@@ -294,11 +293,6 @@ def test_shortest_path_graph_against_brute_force():
                             best = min(best, through - d[s, t])
                 on_some_path = best <= 1e-9 * (1.0 + abs(best))
                 assert (kept[i, j] > 0) == on_some_path, (trial, i, j)
-
-
-def test_incident_weight_sums_rows():
-    a = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    assert incident_weight(a).tolist() == [3.0, 1.0, 2.0]
 
 
 # ---------------------------------------------------------------------------

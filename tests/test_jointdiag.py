@@ -338,6 +338,10 @@ def _assert_matches_dense(batch, in_tree_order=True):
 @given(_tree_batches())
 @example(_path_and_star(10))
 @example(_path_and_star(9))
+# one tree: the warm start leaves off2 at 1.4e-30, and the rotations that
+# remain gain less than the round-off of the input's norm, so none applies
+@example(SampleBatch((TreeSample(root=0, start_time=0.0, parent={1: 0, 2: 0, 3: 1, 4: 0, 5: 2, 6: 4}),),
+                     n_nodes=7, seed=0))
 @settings(max_examples=150, deadline=None)
 def test_jd_gram_path_matches_dense(batch):
     assert jd_mod._incidence(batch)[0].shape == (len(batch), _distinct_edges(batch))

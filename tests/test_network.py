@@ -164,8 +164,6 @@ def test_temporal_network_time_span():
     assert net.t_max == 9.0
     assert net.span == 7.0
     assert net.n_steps == 8
-    assert net.step_of(2.0) == 0
-    assert net.step_of(8.9) == 6
 
 
 def test_temporal_network_requires_sorted_events():

@@ -26,6 +26,7 @@ from oracles import (
     bfs_distances,
     bfs_root_tree_probability,
     is_forest,
+    reference_flood_tree,
     temporal_reachable,
     tree_adjacency,
 )
@@ -172,6 +173,45 @@ def test_flood_reached_matches_reachability_oracle(raw, root, start, horizon):
     # delivery times never decrease along parent chains
     for child, par in t.parent.items():
         assert t.infection_times[par] <= t.infection_times[child]
+
+
+def _assert_same_flood(tree, want):
+    parent, times, partial = want
+    assert tree.parent == parent and tree.infection_times == times and tree.partial == partial
+    # Python numbers, not numpy scalars, in both maps
+    assert all(type(v) is int for pair in tree.parent.items() for v in pair)
+    assert all(type(c) is int and type(t) is float for c, t in tree.infection_times.items())
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 8)).filter(lambda e: e[0] != e[1]),
+        min_size=10,
+        max_size=30,
+    ),
+    st.integers(0, 5),
+    st.integers(0, 9),
+    st.one_of(st.none(), st.integers(1, 12).map(lambda h: h / 2)),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_flood_matches_reference_walk_bit_for_bit(raw, root, start, horizon, seed):
+    # few timestamps, so most floods shuffle a group of shared ones, and
+    # whole horizons end exactly on one
+    net = _temporal([(a, b, float(t), float(t)) for a, b, t in raw], n=6)
+    start = float(start)
+    _assert_same_flood(flood_tree(net, root, start, horizon=horizon), reference_flood_tree(net, root, start, horizon))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    tree = flood_tree(net, root, start, horizon=horizon, rng=rng)
+    _assert_same_flood(tree, reference_flood_tree(net, root, start, horizon, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws
+    batch = sample_batch(net, 8, seed=seed, horizon=horizon)
+    for i, tree in enumerate(batch.samples):
+        rng = derive_rng(seed, "sample", i)
+        root_i = int(rng.integers(6))
+        start_i = float(rng.uniform(net.t_min, net.t_max))
+        assert (tree.root, tree.start_time) == (root_i, start_i)
+        _assert_same_flood(tree, reference_flood_tree(net, root_i, start_i, horizon, rng))
 
 
 # ---------------------------------------------------------------------------
