@@ -43,6 +43,7 @@ from .generators import (
 from .modes import decompose, kde_density, write_report
 from .network import (
     aggregate_static,
+    contact_ends,
     ingest_trace,
     read_label_map,
     write_label_map,
@@ -211,7 +212,7 @@ def _stage_synth(schedule, seed, tail_exponent, min_gap, out: Path) -> tuple:
 
 def _cmd_sample(args, out: Path, artefacts: list) -> None:
     net = _load_net(args)
-    source = aggregate_static(net, net.t_min, net.t_max) if args.static else net
+    source = aggregate_static(net, net.t_min, float(contact_ends(net).max())) if args.static else net
     _, batch_path = _stage_sample(source, args.m, args.seed, args.horizon, out)
     artefacts.append(batch_path)
 

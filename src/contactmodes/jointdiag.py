@@ -13,10 +13,13 @@ Souloumiac, SIAM J. Matrix Anal. Appl. 17(1), 1996).
 
 Only the basis is rotated.  The matrices are held as coordinates on the
 upper-triangle entries they use, and the entries C_i[p,p], C_i[q,q] and
-C_i[p,q] that an angle reads are linear in them, so one matrix product
-per round of disjoint pairs gives them for every matrix and pair (see
-:func:`_pair_entries`).  Every round reads the input coordinates afresh,
-so no rotated stack exists to drift; parallelism comes from BLAS.
+C_i[p,q] that an angle reads are linear in them.  A round of disjoint
+pairs works on the complex columns z = U[:, p] + i U[:, q]: one complex
+multiply of two row gathers of z and one matrix product give those
+entries for every matrix and pair (see :func:`_pair_entries`), and one
+phase factor per pair rotates the basis (:func:`_rotate`).  Every round
+reads the input coordinates afresh, so no rotated stack exists to drift;
+parallelism comes from BLAS.
 """
 
 from __future__ import annotations
@@ -239,18 +242,29 @@ def _pair_entries(weights, ends, coef, u, pp, qq) -> tuple[np.ndarray, np.ndarra
     C_j = U^T K_j U, for the pairs (p, q) of one round, as (pair, matrix)
     arrays.
 
-    Both are linear in the coordinates: C_j[p,q] = sum_e W[j, e] coef[e]
-    (P_a Q_b + P_b Q_a) / 2 with P = U[:, p], Q = U[:, q] and (a, b) =
-    ends[e].  So one product of the weights with an E x 2k matrix gives
-    them all, and no matrix is ever rotated.
+    Both are linear in the coordinates.  With z = P + iQ for P = U[:, p]
+    and Q = U[:, q], and (a, b) = ends[e], z_a z_b = (P_a P_b - Q_a Q_b) +
+    i (P_a Q_b + P_b Q_a), so h0 + i h1 = sum_e W[j, e] coef[e] z_a z_b.
+    Two complex row gathers and one complex multiply give that E x k
+    matrix; one product of its real view with the weights gives h0 and h1
+    as its even and odd rows, and no matrix is ever rotated.
     """
-    k = len(pp)
-    cols = u[:, np.concatenate([pp, qq])]
-    at_a, at_b = cols[ends[0]], cols[ends[1]]
-    pa, qa, pb, qb = at_a[:, :k], at_a[:, k:], at_b[:, :k], at_b[:, k:]
-    f = coef[:, None] * np.concatenate([pa * pb - qa * qb, pa * qb + pb * qa], axis=1)
-    h = f.T @ weights.T
-    return h[:k], h[k:]
+    z = u[:, pp] + 1j * u[:, qq]
+    f = z[ends[0]]
+    f *= z[ends[1]]
+    f *= coef[:, None]
+    h = f.view(float).T @ weights.T
+    return h[0::2], h[1::2]
+
+
+def _rotate(u, pp, qq, theta) -> None:
+    """Turn the pairs (p, q) of one round in place: columns p and q become
+    the real and imaginary parts of (U[:, p] + i U[:, q]) e^{-i theta},
+    the Givens update cos P + sin Q and cos Q - sin P."""
+    z = u[:, pp] + 1j * u[:, qq]
+    z *= np.exp(-1j * theta)
+    u[:, pp] = z.real
+    u[:, qq] = z.imag
 
 
 def _sample_diagonals(incidence, ends, coef, fro2, u) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +356,8 @@ def joint_diagonalise(
     weights = _sweep_weights(incidence)
     round_off = np.finfo(float).eps ** 2 * float(fro2.sum())
 
-    initial = _off2_total(weights, ends, np.eye(n))
+    # at U = I the off2 of K_j is twice its squared off-diagonal coordinates
+    initial = 2.0 * float(np.einsum("je,je,e->", weights, weights, ends[0] != ends[1]))
     history = [initial]
     converged = False
     u = np.eye(n)
@@ -362,7 +377,6 @@ def joint_diagonalise(
         pass
 
     rounds = _pair_rounds(n)
-    diag_idx = np.arange(n)
     for _ in range(max_sweeps):
         rotations = 0
         guard = max(_GAIN_GUARD * max(history[-1], np.finfo(float).tiny), round_off)
@@ -386,17 +400,9 @@ def joint_diagonalise(
             # degenerate branch point (equal diagonals): quarter turn
             theta[(toff == 0.0) & (ton + r <= 0.0)] = math.pi / 4.0
             theta[~active] = 0.0
-            # a round pairs every index at most once, so the rotations act
-            # as one permutation-style update: each column mixes with its
-            # partner column, scaled by the pair's angle (p gets +sin, q -sin)
-            partner = diag_idx.copy()
-            partner[pp], partner[qq] = qq, pp
-            cos_f = np.ones(n)
-            sin_f = np.zeros(n)
-            cos_f[pp] = cos_f[qq] = np.cos(theta)
-            sin_f[pp] = np.sin(theta)
-            sin_f[qq] = -np.sin(theta)
-            u = cos_f[None, :] * u + sin_f[None, :] * u[:, partner]
+            # a round pairs every index at most once, so its rotations
+            # commute and apply together
+            _rotate(u, pp, qq, theta)
             rotations += int(active.sum())
         if rotations == 0:
             converged = True

@@ -392,16 +392,23 @@ def read_label_map(path: str | Path) -> dict[str, int]:
         raise DataError(f"{path}: a label map must be a JSON object of label -> node id: {exc!r}") from exc
 
 
+def contact_ends(net: TemporalNetwork) -> np.ndarray:
+    """Each contact's end as aggregation counts it: a point contact
+    (``end == start``) lasts one time step, ``[start, start + granularity)``."""
+    return np.where(net.end > net.start, net.end, net.start + net.granularity)
+
+
 def aggregate_static(net: TemporalNetwork, t0: float, t1: float) -> StaticGraph:
     """Amalgamate contacts overlapping ``[t0, t1)`` into a static graph.
 
     Edge weight is the total contact duration on the pair inside the
-    window, normalised by the window length; an empty overlap gives the
+    window, normalised by the window length, with a point contact lasting
+    one time step (:func:`contact_ends`); an empty overlap gives the
     all-zero graph.
     """
     if not t0 < t1:
         raise ValueError(f"empty window: [{t0}, {t1})")
-    overlap = np.minimum(net.end, t1) - np.maximum(net.start, t0)
+    overlap = np.minimum(contact_ends(net), t1) - np.maximum(net.start, t0)
     hit = overlap > 0
     i, j, w = net.a[hit], net.b[hit], overlap[hit]
     a = np.zeros((net.n_nodes, net.n_nodes))

@@ -279,9 +279,12 @@ def merge_intervals(pairs) -> list:
 
 
 def reference_aggregate_static(net, t0: float, t1: float) -> np.ndarray:
-    """Static aggregation one event at a time, in event order."""
+    """Static aggregation one event at a time, in event order; a point
+    contact lasts one time step."""
     a = np.zeros((net.n_nodes, net.n_nodes))
     for i, j, start, end in zip(*(col.tolist() for col in net.event_arrays)):
+        if end == start:
+            end = start + net.granularity
         overlap = min(end, t1) - max(start, t0)
         if overlap > 0:
             a[i, j] += overlap

@@ -338,6 +338,22 @@ def test_sample_static_aggregation(synth_dir, tmp_path):
     assert "kind=static" in text
 
 
+@pytest.mark.parametrize("rows", [
+    ["x,y,0,0", "y,z,1,1", "z,w,2,2", "x,w,3,3"],
+    ["x,y,5,5", "y,z,5,5", "x,z,5,5"],
+], ids=["point-contacts", "one-instant"])
+def test_sample_static_counts_point_contacts(rows, tmp_path):
+    # each point contact lasts one time step, so the aggregate is connected
+    # and every BFS tree spans it; the one-instant trace's window is one step
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(["node_a,node_b,start,end"] + rows) + "\n")
+    out = tmp_path / "static"
+    assert _run("sample", "--trace", str(trace), "--static", "--m", "5", "--out", str(out)) == 0
+    batch = read_batch(out / "batch.txt")
+    assert len(batch) == 5
+    assert all(not s.partial and s.n_edges == batch.n_nodes - 1 for s in batch.samples)
+
+
 def test_repro_runs_end_to_end(tmp_path):
     out = tmp_path / "repro"
     code = _run(

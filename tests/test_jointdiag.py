@@ -222,6 +222,31 @@ def test_pair_entries_match_the_projected_matrices(source):
             assert np.abs((got[a] * got[b]).sum(axis=1) - want).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_rotate_is_the_givens_update(n):
+    """The phase rotation of a round is the real Givens update of its pair
+    columns, with the angle 0 of an inactive pair and the quarter turn;
+    the other columns (the unpaired one at n = 7) keep their bits."""
+    rng = derive_rng(18, "jd-rotate")
+    for _ in range(5):
+        u = _random_orthogonal(n, rng)
+        for pp, qq in jd_mod._pair_rounds(n):
+            theta = rng.uniform(-np.pi / 4, np.pi / 4, len(pp))
+            theta[0], theta[-1] = 0.0, np.pi / 4
+            got = u.copy()
+            jd_mod._rotate(got, pp, qq, theta)
+            c, s = np.cos(theta), np.sin(theta)
+            want = u.copy()
+            want[:, pp], want[:, qq] = c * u[:, pp] + s * u[:, qq], c * u[:, qq] - s * u[:, pp]
+            assert np.abs(got - want).max() <= 1e-15 * np.linalg.norm(u)
+            rest = np.setdiff1d(np.arange(n), np.concatenate([pp, qq]))
+            assert len(rest) == n % 2
+            assert np.array_equal(got[:, rest], u[:, rest])
+            assert np.array_equal(got[:, pp[0]], u[:, pp[0]]) and np.array_equal(got[:, qq[0]], u[:, qq[0]])
+            assert np.abs(got.T @ got - np.eye(n)).max() <= 1e-14
+            u = got
+
+
 def test_jd_runs_are_deterministic():
     """Two runs on the same input agree bit for bit: on a dense stack, on a
     short one, on the Gram eigenmatrices of a batch, and on inputs that
@@ -315,20 +340,26 @@ def _path_and_star(trees):
     return SampleBatch((path, star) + (path,) * (trees - 2), n_nodes=6, seed=0)
 
 
-def _assert_matches_dense(batch, in_tree_order=True):
+def _assert_matches_dense(batch, in_tree_order=True, drawn=False):
     """The batch's result against the oracle swept on the dense stack.
     With ``in_tree_order`` false only the multiset of deviations is
-    compared (see the mirror-symmetric test below)."""
+    compared (see the mirror-symmetric test below).  With ``drawn`` the
+    deviations are held to the reach of the stopping rule (see the drawn
+    batches below)."""
     got = joint_diagonalise(batch)
     want = reference_joint_diagonalise(batch.matrices())
     two_e = np.array([2.0 * s.n_edges for s in batch.samples])
+    off2_0 = want.off2_history[0]
     assert len(got.off2_history) == len(want.off2_history)
-    assert np.abs(got.off2_history - want.off2_history).max() <= 1e-9 * max(want.off2_history[0], 1.0)
+    assert np.abs(got.off2_history - want.off2_history).max() <= 1e-9 * max(off2_0, 1.0)
     assert np.all(np.diff(got.off2_history) <= 0.0)
+    assert abs(got.deviations.sum() - want.deviations.sum()) <= 1e-9 * max(off2_0, 1.0)
     dev_got, dev_want = got.deviations, want.deviations
     if not in_tree_order:
         dev_got, dev_want = np.sort(dev_got), np.sort(dev_want)
-    assert np.abs(dev_got - dev_want).max() <= 1e-10 * np.maximum(two_e, 1.0).max()
+    # the default tol of both sweeps is 1e-9
+    bound = np.sqrt(1e-9 * off2_0) if drawn else 1e-10 * np.maximum(two_e, 1.0).max()
+    assert np.abs(dev_got - dev_want).max() <= bound
     assert np.all((got.deviations >= 0.0) & (got.deviations <= two_e))
     assert np.abs(got.avg_diag - want.avg_diag).max() <= 1e-12
     assert got.converged == want.converged
@@ -342,11 +373,23 @@ def _assert_matches_dense(batch, in_tree_order=True):
 # remain gain less than the round-off of the input's norm, so none applies
 @example(SampleBatch((TreeSample(root=0, start_time=0.0, parent={1: 0, 2: 0, 3: 1, 4: 0, 5: 2, 6: 4}),),
                      n_nodes=7, seed=0))
+# a degenerate minimum: off2 goes 4.00000048 -> 4.00000001 -> 4.0, and the
+# sweeps and the oracle stop at bases that split those 4.0 among the trees
+# 3 x 0.66666371 + 2.00000887 and 3 x 0.66667173 + 1.99998481
+@example(SampleBatch((TreeSample(root=0, start_time=0.0, parent={4: 0}, partial=True),) * 3
+                     + (TreeSample(root=1, start_time=0.0, parent={4: 1, 2: 4, 3: 4}, partial=True),),
+                     n_nodes=7, seed=0))
 @settings(max_examples=150, deadline=None)
 def test_jd_gram_path_matches_dense(batch):
+    """On drawn batches the history, avg_diag and the summed deviations
+    match the oracle, but the deviations of single trees only to
+    sqrt(tol * off2_0): where the minimum is flat, the sweeps stop once a
+    sweep gains less than tol * off2_0, and an off2 excess that small is
+    quadratic in the distance to the minimum while each tree's deviation
+    is linear in it."""
     assert jd_mod._incidence(batch)[0].shape == (len(batch), _distinct_edges(batch))
     # small drawn batches can be mirror-symmetric, as below
-    _assert_matches_dense(batch, in_tree_order=False)
+    _assert_matches_dense(batch, in_tree_order=False, drawn=True)
 
 
 def test_jd_gram_path_on_a_mirror_symmetric_batch():

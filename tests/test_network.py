@@ -17,6 +17,7 @@ from contactmodes import (
     write_label_map,
     write_trace,
 )
+from contactmodes.network import contact_ends
 from oracles import merge_intervals, reference_aggregate_static
 
 
@@ -436,6 +437,18 @@ def test_aggregate_static_sums_repeat_contacts():
     net = _net([(0, 1, 0.0, 1.0), (0, 1, 2.0, 3.0)], n=2)
     g = aggregate_static(net, 0.0, 10.0)
     assert g.adjacency[0, 1] == pytest.approx(0.2)
+
+
+def test_aggregate_static_counts_a_point_contact_as_one_step():
+    net = TemporalNetwork(n_nodes=3, a=[0, 1, 0], b=[1, 2, 1], start=[0.0, 1.0, 1.5], end=[0.0, 3.0, 1.5],
+                          granularity=0.5)
+    assert np.array_equal(contact_ends(net), [0.5, 3.0, 2.0])
+    g = aggregate_static(net, 0.0, 4.0)
+    assert g.adjacency[0, 1] == pytest.approx(1.0 / 4.0)  # two half steps
+    assert g.adjacency[1, 2] == pytest.approx(2.0 / 4.0)
+    assert np.array_equal(g.adjacency.values, reference_aggregate_static(net, 0.0, 4.0))
+    # a window that ends inside a point contact's step counts its share
+    assert aggregate_static(net, 0.0, 0.25).adjacency[0, 1] == pytest.approx(1.0)
 
 
 def test_aggregate_static_matches_the_event_loop_bit_for_bit():
