@@ -13,13 +13,19 @@ Souloumiac, SIAM J. Matrix Anal. Appl. 17(1), 1996).
 
 Only the basis is rotated.  The matrices are held as coordinates on the
 upper-triangle entries they use, and the entries C_i[p,p], C_i[q,q] and
-C_i[p,q] that an angle reads are linear in them.  A round of disjoint
-pairs works on the complex columns z = U[:, p] + i U[:, q]: one complex
-multiply of two row gathers of z and one matrix product give those
-entries for every matrix and pair (see :func:`_pair_entries`), and one
-phase factor per pair rotates the basis (:func:`_rotate`).  Every round
-reads the input coordinates afresh, so no rotated stack exists to drift;
-parallelism comes from BLAS.
+C_i[p,q] that an angle reads are linear in them.  The basis keeps each
+round's pairs in adjacent columns, so z = U[:, p] + i U[:, q] is a
+complex view of it: one complex multiply of two row gathers of z, one
+matrix product and one einsum give every pair's angle sums (see
+:func:`_angle_sums`), one phase factor per pair rotates the basis in
+place (:func:`_rotate`), and one ``np.take`` moves it to the next
+round's column order.  Every round reads the input coordinates afresh,
+so no rotated stack exists to drift.
+
+:func:`joint_diagonalise_sets` sweeps several sets of one size in one
+loop (the per-mode diagonalisations of a decomposition): each set keeps
+its own coordinates, product, guard, history and stopping test, while a
+round's angle math and rotation run once for all of them.
 """
 
 from __future__ import annotations
@@ -217,7 +223,10 @@ def _matrices(weights, ends, n: int) -> np.ndarray:
 
 def _off2_total(weights, ends, u) -> float:
     """Total off2 of the sweep matrices in the basis U, projecting
-    U^T K_j U for n matrices at a time.
+    U^T K_j U for a chunk of matrices at a time.
+
+    A chunk holds at most min(n, 2^16 // n^2) matrices, so each of its
+    (chunk, n, n) arrays stays within 2^16 entries (512 kB) at any n.
 
     The squared off-diagonal entries are summed directly: the identity
     ||K_j||^2 - ||diag||^2 would cancel against the diagonal mass, whose
@@ -226,9 +235,10 @@ def _off2_total(weights, ends, u) -> float:
     """
     n = len(u)
     idx = np.arange(n)
+    chunk = max(1, min(n, 2**16 // max(n * n, 1)))
     total = 0.0
-    for lo in range(0, len(weights), n):
-        c = u.T @ _matrices(weights[lo : lo + n], ends, n) @ u
+    for lo in range(0, len(weights), chunk):
+        c = u.T @ _matrices(weights[lo : lo + chunk], ends, n) @ u
         c *= c
         c[:, idx, idx] = 0.0
         total += float(c.sum())
@@ -237,40 +247,43 @@ def _off2_total(weights, ends, u) -> float:
     return total
 
 
-def _pair_entries(weights, ends, coef, u, pp, qq) -> tuple[np.ndarray, np.ndarray]:
-    """h0 = C_j[p,p] - C_j[q,q] and h1 = 2 C_j[p,q] of every sweep matrix
-    C_j = U^T K_j U, for the pairs (p, q) of one round, as (pair, matrix)
-    arrays.
+def _angle_sums(weights, ends, coef, z) -> np.ndarray:
+    """The angle sums [[g00, g01], [g01, g11]] of every pair (p, q) of one
+    round, as a (pair, 2, 2) array: g00 = sum_j h0_j^2, g01 = sum_j h0_j
+    h1_j and g11 = sum_j h1_j^2, where h0_j = C_j[p,p] - C_j[q,q] and
+    h1_j = 2 C_j[p,q] for the sweep matrices C_j = U^T K_j U.
 
-    Both are linear in the coordinates.  With z = P + iQ for P = U[:, p]
-    and Q = U[:, q], and (a, b) = ends[e], z_a z_b = (P_a P_b - Q_a Q_b) +
-    i (P_a Q_b + P_b Q_a), so h0 + i h1 = sum_e W[j, e] coef[e] z_a z_b.
-    Two complex row gathers and one complex multiply give that E x k
-    matrix; one product of its real view with the weights gives h0 and h1
-    as its even and odd rows, and no matrix is ever rotated.
+    ``z`` is the round's complex view of the basis, one column
+    P + iQ per pair, with P = U[:, p] and Q = U[:, q].  Both entries are
+    linear in the coordinates: for (a, b) = ends[e], z_a z_b = (P_a P_b -
+    Q_a Q_b) + i (P_a Q_b + P_b Q_a), so h0 + i h1 = sum_e W[j, e] coef[e]
+    z_a z_b.  Two complex row gathers and one complex multiply give that
+    E x k matrix, one product of its real view with the weights gives h0
+    and h1 as its even and odd rows, and one einsum the sums.  No matrix
+    is ever rotated, and no temporary outlives the call.
     """
-    z = u[:, pp] + 1j * u[:, qq]
     f = z[ends[0]]
     f *= z[ends[1]]
     f *= coef[:, None]
-    h = f.view(float).T @ weights.T
-    return h[0::2], h[1::2]
+    h = (f.view(float).T @ weights.T).reshape(z.shape[1], 2, len(weights))
+    return np.einsum("pir,pjr->pij", h, h)
 
 
-def _rotate(u, pp, qq, theta) -> None:
-    """Turn the pairs (p, q) of one round in place: columns p and q become
-    the real and imaginary parts of (U[:, p] + i U[:, q]) e^{-i theta},
-    the Givens update cos P + sin Q and cos Q - sin P."""
-    z = u[:, pp] + 1j * u[:, qq]
-    z *= np.exp(-1j * theta)
-    u[:, pp] = z.real
-    u[:, qq] = z.imag
+def _rotate(z, theta) -> None:
+    """Turn the pairs of one round in place: the complex view z = U[:, p] +
+    i U[:, q] (shape (..., n, k)) times e^{-i theta} (theta of shape
+    (..., k)) sets columns p and q to the Givens update cos P + sin Q and
+    cos Q - sin P."""
+    z *= np.exp(-1j * theta)[..., None, :]
 
 
-def _sample_diagonals(incidence, ends, coef, fro2, u) -> tuple[np.ndarray, np.ndarray]:
+def _sample_diagonals(rows, ends, coef, fro2, u) -> tuple[np.ndarray, np.ndarray]:
     """Each input's projected diagonal diag(U^T H_i U) and its residual
-    off2, ||H_i||^2 - ||diag||^2, read from the incidence rows."""
-    diags = incidence @ (coef[:, None] * u[ends[0]] * u[ends[1]])
+    off2, ||H_i||^2 - ||diag||^2, read from its coordinate row."""
+    g = u[ends[0]]
+    g *= coef[:, None]
+    g *= u[ends[1]]
+    diags = rows @ g
     # the subtraction cancels for nearly diagonal inputs; clip its round-off
     deviations = np.clip(fro2 - (diags * diags).sum(axis=1), 0.0, fro2)
     return diags, deviations
@@ -310,6 +323,103 @@ def _pair_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
+def _round_layouts(n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Column orders of the basis for the rounds of :func:`_pair_rounds`,
+    and the ``np.take`` indices that move each round's order to the next
+    (the last round's to the first).
+
+    Round t holds its pairs (p, q) in the adjacent columns 2j and 2j + 1
+    and the unpaired index of an odd n last, so U[:, p] + i U[:, q] is the
+    complex view of the first 2 (n // 2) columns.
+    """
+    orders = []
+    for pp, qq in _pair_rounds(n):
+        order = np.empty(n, dtype=np.intp)
+        order[0 : 2 * len(pp) : 2] = pp
+        order[1 : 2 * len(pp) : 2] = qq
+        order[2 * len(pp) :] = np.setdiff1d(np.arange(n), np.concatenate([pp, qq]))
+        orders.append(order)
+    steps = [np.argsort(a)[b] for a, b in zip(orders, orders[1:] + orders[:1])]
+    return orders, steps
+
+
+class _SweepSet:
+    """One input set of :func:`joint_diagonalise_sets`: its coordinates and
+    sweep weights, its basis in natural column order, and its own gain
+    guard, off2 history and stopping test."""
+
+    def __init__(self, matrices):
+        incidence, self.ends, self.coef, self.n = _incidence(matrices)
+        # both checks read the input itself, before any Gram is formed
+        with np.errstate(over="ignore"):
+            self.fro2 = np.einsum("ie,ie,e->i", incidence, incidence, self.coef)
+        if not math.isfinite(float(self.fro2.sum())):
+            raise ValueError("squared Frobenius norms of the input overflow; rescale the matrices")
+        if np.any((self.fro2 < np.finfo(float).tiny) & incidence.any(axis=1)):
+            raise ValueError("squared Frobenius norms of the input underflow; rescale the matrices")
+        mean = np.zeros((self.n, self.n))
+        mean[self.ends] = mean[self.ends[::-1]] = incidence.sum(axis=0) / len(incidence)
+        self.weights = _sweep_weights(incidence)
+        # the dense side (one weight row per input) sweeps the float
+        # incidence itself, so the readout multiplies that instead of
+        # casting the bool incidence again
+        self.rows = self.weights if len(self.weights) == len(incidence) else incidence
+        self.round_off = np.finfo(float).eps ** 2 * float(self.fro2.sum())
+        # at U = I the off2 of K_j is twice its squared off-diagonal coordinates
+        off = self.ends[0] != self.ends[1]
+        self.history = [2.0 * float(np.einsum("je,je,e->", self.weights, self.weights, off))]
+        self.converged = False
+        self.basis = np.eye(self.n)
+
+        # Warm start in the eigenbasis of the mean matrix: for near-commuting
+        # sets this basis is already close to the joint one, cutting the sweep
+        # count sharply.  Adopted only when it does not raise the objective,
+        # so the recorded history stays non-increasing from the input basis.
+        try:
+            _, seed_basis = eig_sym(mean)
+            warm_u = seed_basis.values.copy()
+            warm_off = _off2_total(self.weights, self.ends, warm_u)
+            if warm_off <= self.history[0]:
+                self.basis = warm_u
+                self.history.append(warm_off)
+        except ConvergenceError:
+            pass
+
+    def guard(self) -> float:
+        """Smallest off2 gain a rotation of the coming sweep must predict."""
+        return max(_GAIN_GUARD * max(self.history[-1], np.finfo(float).tiny), self.round_off)
+
+    def end_sweep(self, u, rotations: int, tol: float) -> bool:
+        """Take the basis ``u`` after a sweep of ``rotations`` rotations;
+        True once the set stops."""
+        self.basis = u
+        if rotations == 0:
+            self.converged = True
+            return True
+        if not float(np.abs(u.T @ u - np.eye(len(u))).max()) <= 1e-10:
+            raise ConvergenceError("basis lost orthogonality during sweeps")
+        current = _off2_total(self.weights, self.ends, u)
+        self.history.append(current)
+        self.converged = self.history[-2] - current < tol * self.history[0]
+        return self.converged
+
+    def result(self) -> JdResult:
+        diags, deviations = _sample_diagonals(self.rows, self.ends, self.coef, self.fro2, self.basis)
+        avg_diag = diags.mean(axis=0)
+        order = np.argsort(-avg_diag, kind="stable")
+        u = self.basis[:, order]
+        avg_diag = avg_diag[order]
+        signs = np.where(u.sum(axis=0) < 0, -1.0, 1.0)
+        u = u * signs
+        return JdResult(
+            basis=OrthoBasis(u),
+            avg_diag=avg_diag,
+            deviations=deviations,
+            off2_history=np.array(self.history),
+            converged=self.converged,
+        )
+
+
 def joint_diagonalise(
     matrices,
     tol: float = 1e-9,
@@ -326,7 +436,8 @@ def joint_diagonalise(
     SampleBatch and its ``matrices()`` give the same result bit for bit.
     (Where a node symmetry of the inputs swaps them, the objective has
     mirror-image minimisers and round-off picks one, so only the multiset
-    of deviations is determined.)
+    of deviations is determined.)  This is :func:`joint_diagonalise_sets`
+    of the one set.
 
     Parameters
     ----------
@@ -341,52 +452,48 @@ def joint_diagonalise(
     JdResult with columns of the basis ordered by decreasing average
     projected diagonal and signed so every column sums nonnegative.
     """
+    return joint_diagonalise_sets([matrices], tol=tol, max_sweeps=max_sweeps)[0]
+
+
+def joint_diagonalise_sets(
+    sources: Sequence,
+    tol: float = 1e-9,
+    max_sweeps: int = 100,
+) -> list[JdResult]:
+    """Diagonalise each of several sets of n x n symmetric matrices jointly
+    within itself, in one sweep loop; one :class:`JdResult` per set, in
+    order.
+
+    The sets share only the round schedule.  Each keeps its own
+    coordinates, sweep weights, gain guard, off2 history and stopping
+    test, and its own product at its own size; a round's angle math and
+    rotation run once for all sets, and a set leaves the loop when it
+    stops.  Every per-set operation is the one a lone run makes, so each
+    result equals :func:`joint_diagonalise` of its set bit for bit.  The
+    sets must all have the same n; ``tol`` and ``max_sweeps`` are as for
+    :func:`joint_diagonalise`.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    incidence, ends, coef, n = _incidence(matrices)
-    # both checks read the input itself, before any Gram is formed
-    with np.errstate(over="ignore"):
-        fro2 = np.einsum("ie,ie,e->i", incidence, incidence, coef)
-    if not math.isfinite(float(fro2.sum())):
-        raise ValueError("squared Frobenius norms of the input overflow; rescale the matrices")
-    if np.any((fro2 < np.finfo(float).tiny) & incidence.any(axis=1)):
-        raise ValueError("squared Frobenius norms of the input underflow; rescale the matrices")
-    mean = np.zeros((n, n))
-    mean[ends] = mean[ends[::-1]] = incidence.sum(axis=0) / len(incidence)
-    weights = _sweep_weights(incidence)
-    round_off = np.finfo(float).eps ** 2 * float(fro2.sum())
-
-    # at U = I the off2 of K_j is twice its squared off-diagonal coordinates
-    initial = 2.0 * float(np.einsum("je,je,e->", weights, weights, ends[0] != ends[1]))
-    history = [initial]
-    converged = False
-    u = np.eye(n)
-
-    # Warm start in the eigenbasis of the mean matrix: for near-commuting
-    # sets this basis is already close to the joint one, cutting the sweep
-    # count sharply.  Adopted only when it does not raise the objective,
-    # so the recorded history stays non-increasing from the input basis.
-    try:
-        _, seed_basis = eig_sym(mean)
-        warm_u = seed_basis.values.copy()
-        warm_off = _off2_total(weights, ends, warm_u)
-        if warm_off <= initial:
-            u = warm_u
-            history.append(warm_off)
-    except ConvergenceError:
-        pass
-
-    rounds = _pair_rounds(n)
+    sets = [_SweepSet(x) for x in sources]
+    if len({s.n for s in sets}) > 1:
+        raise ValueError("all sets must hold matrices of the same size")
+    if not sets:
+        return []
+    n = sets[0].n
+    orders, steps = _round_layouts(n)
+    natural = np.argsort(orders[0])
+    # every set's basis in the current round's column order
+    u = np.take(np.stack([s.basis for s in sets]), orders[0], axis=2)
+    live = sets
     for _ in range(max_sweeps):
-        rotations = 0
-        guard = max(_GAIN_GUARD * max(history[-1], np.finfo(float).tiny), round_off)
-        for pp, qq in rounds:
-            h0, h1 = _pair_entries(weights, ends, coef, u, pp, qq)
-            g00 = (h0 * h0).sum(axis=1)
-            g01 = (h0 * h1).sum(axis=1)
-            g11 = (h1 * h1).sum(axis=1)
-            ton = g00 - g11
-            toff = 2.0 * g01
+        guard = np.array([[s.guard()] for s in live])
+        rotations = np.zeros(len(live), dtype=int)
+        for step in steps:
+            z = u[:, :, : n - n % 2].view(complex)
+            sums = np.stack([_angle_sums(s.weights, s.ends, s.coef, zs) for s, zs in zip(live, z)])
+            ton = sums[..., 0, 0] - sums[..., 1, 1]
+            toff = 2.0 * sums[..., 0, 1]
             r = np.hypot(ton, toff)
             # r is non-finite whenever an angle sum is; such a round would
             # otherwise look inactive and end the sweeps as converged
@@ -394,42 +501,23 @@ def joint_diagonalise(
                 raise ConvergenceError("angle sums went non-finite during joint diagonalisation")
             # off2 decreases by (r - ton) / 4 under the optimal angle
             active = (r - ton) / 4.0 > guard
-            if not active.any():
-                continue
             theta = 0.5 * np.arctan2(toff, ton + r)
             # degenerate branch point (equal diagonals): quarter turn
             theta[(toff == 0.0) & (ton + r <= 0.0)] = math.pi / 4.0
             theta[~active] = 0.0
             # a round pairs every index at most once, so its rotations
             # commute and apply together
-            _rotate(u, pp, qq, theta)
-            rotations += int(active.sum())
-        if rotations == 0:
-            converged = True
+            _rotate(z, theta)
+            rotations += active.sum(axis=1)
+            u = np.take(u, step, axis=2)
+        going = np.array(
+            [not s.end_sweep(np.take(us, natural, axis=1), int(c), tol) for s, us, c in zip(live, u, rotations)]
+        )
+        live = [s for s, g in zip(live, going) if g]
+        if not live:
             break
-        if not float(np.abs(u.T @ u - np.eye(n)).max()) <= 1e-10:
-            raise ConvergenceError("basis lost orthogonality during sweeps")
-        current = _off2_total(weights, ends, u)
-        history.append(current)
-        if history[-2] - current < tol * initial:
-            converged = True
-            break
-
-    diags, deviations = _sample_diagonals(incidence, ends, coef, fro2, u)
-    avg_diag = diags.mean(axis=0)
-    order = np.argsort(-avg_diag, kind="stable")
-    u = u[:, order]
-    avg_diag = avg_diag[order]
-    signs = np.where(u.sum(axis=0) < 0, -1.0, 1.0)
-    u = u * signs
-
-    return JdResult(
-        basis=OrthoBasis(u),
-        avg_diag=avg_diag,
-        deviations=deviations,
-        off2_history=np.array(history),
-        converged=converged,
-    )
+        u = u[going]
+    return [s.result() for s in sets]
 
 
 def reconstruct_average(result: JdResult, force: bool = False) -> SymMatrix:

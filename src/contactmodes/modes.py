@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .jointdiag import JdResult, joint_diagonalise, reconstruct_average
+from .jointdiag import JdResult, joint_diagonalise, joint_diagonalise_sets, reconstruct_average
 from .network import SymMatrix
 from .sampling import SampleBatch
 from .seeds import derive_rng, derive_seed_sequence
@@ -513,11 +513,12 @@ def per_mode_reconstruction(
     """Rebuild the average graph independently for every mode.
 
     Each nonempty mode's member matrices get their own joint
-    diagonalisation and reconstruction, except that a mode holding the
-    whole batch reuses ``overall``, the whole-batch diagonalisation; a
+    diagonalisation and reconstruction, all in one call of
+    :func:`joint_diagonalise_sets`, except that a mode holding the whole
+    batch reuses ``overall``, the whole-batch diagonalisation; a
     single-sample mode keeps its lone matrix and is flagged.  Empty modes
-    are dropped with a warning.  A mode whose diagonalisation does not
-    converge raises :class:`ConvergenceError` naming the mode, with
+    are dropped with a warning.  When a mode's diagonalisation does not
+    converge, :class:`ConvergenceError` names the lowest such mode, with
     ``overall`` as ``result``.
     """
     if model.n_samples != len(batch.samples):
@@ -526,24 +527,28 @@ def per_mode_reconstruction(
         raise ValueError("precomputed overall result does not match the batch")
     overall_matrix = reconstruct_average(overall)
 
+    members = [model.members(j) for j in range(model.k)]
+    # one sweep loop for every mode that needs its own diagonalisation,
+    # its results taken in mode order below
+    swept = [batch.subset(mode) for mode in members if 1 < len(mode) < len(batch.samples)]
+    results = iter(joint_diagonalise_sets(swept, tol=tol, max_sweeps=max_sweeps))
     summaries = []
-    for j in range(model.k):
-        members = model.members(j)
-        if len(members) == 0:
+    for j, mode in enumerate(members):
+        if len(mode) == 0:
             warnings.warn(f"mode {j} is empty and was dropped", stacklevel=2)
             continue
-        if len(members) == 1:
-            matrix = SymMatrix(batch.subset(members).matrices()[0])
-            summaries.append(ModeSummary(index=j, members=members, matrix=matrix, single_sample=True, result=None))
+        if len(mode) == 1:
+            matrix = SymMatrix(batch.subset(mode).matrices()[0])
+            summaries.append(ModeSummary(index=j, members=mode, matrix=matrix, single_sample=True, result=None))
             continue
-        if len(members) == len(batch.samples):
+        if len(mode) == len(batch.samples):
             sub, matrix = overall, overall_matrix
         else:
-            sub = joint_diagonalise(batch.subset(members), tol=tol, max_sweeps=max_sweeps)
+            sub = next(results)
             if not sub.converged:
                 raise ConvergenceError(f"joint diagonalisation of mode {j} did not converge", result=overall)
             matrix = reconstruct_average(sub)
-        summaries.append(ModeSummary(index=j, members=members, matrix=matrix, single_sample=False, result=sub))
+        summaries.append(ModeSummary(index=j, members=mode, matrix=matrix, single_sample=False, result=sub))
 
     if bin_width is None:
         span = batch.source.t_max - batch.source.t_min

@@ -14,21 +14,25 @@ JD_HISTORIES = []
 
 @pytest.fixture(scope="session", autouse=True)
 def _jd_monotonicity_guard():
-    original = jd_mod.joint_diagonalise
+    # joint_diagonalise is the one-set call of joint_diagonalise_sets, so
+    # wrapping the shared loop sees every diagonalisation, per-mode ones
+    # included, one history per set
+    original = jd_mod.joint_diagonalise_sets
 
     def checked(*args, **kwargs):
-        res = original(*args, **kwargs)
-        hist = np.asarray(res.off2_history, dtype=float)
-        assert np.all(np.diff(hist) <= 0.0), "off2 history increased during a sweep"
-        JD_HISTORIES.append(hist)
-        return res
+        results = original(*args, **kwargs)
+        for res in results:
+            hist = np.asarray(res.off2_history, dtype=float)
+            assert np.all(np.diff(hist) <= 0.0), "off2 history increased during a sweep"
+            JD_HISTORIES.append(hist)
+        return results
 
     patched = [jd_mod, modes_mod, contactmodes]
     for mod in patched:
-        mod.joint_diagonalise = checked
+        mod.joint_diagonalise_sets = checked
     yield
     for mod in patched:
-        mod.joint_diagonalise = original
+        mod.joint_diagonalise_sets = original
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +12,9 @@ from contactmodes import (
     derive_rng,
     eig_sym,
     filter_batch,
+    gen_random_contacts,
     joint_diagonalise,
+    joint_diagonalise_sets,
     off2,
     project,
     reconstruct_average,
@@ -187,11 +191,20 @@ def _loop_matrices(weights, ends, n):
     return out
 
 
+def _brute_angle_sums(stack, u, pp, qq):
+    """The (pair, 2, 2) sums [[g00, g01], [g01, g11]] of h0 and h1 over a
+    stack, from the quadruple-loop projection."""
+    h = np.stack(_brute_pair_entries(stack, u, pp, qq), axis=1)
+    return np.einsum("pim,pjm->pij", h, h)
+
+
 @pytest.mark.parametrize("source", ["batch", "compressed-batch", "full-diagonal-stack"])
 def test_pair_entries_match_the_projected_matrices(source):
-    """Every round's h0 and h1, read from one product of the sweep weights,
-    are the entries of U^T K_j U for a random orthogonal U, and their angle
-    sums are those of the inputs H_i; n = 7 leaves one index unpaired."""
+    """Every round's angle sums, read from one product of the sweep
+    weights with the complex view of the basis in that round's column
+    order, are those of the entries of U^T K_j U for a random orthogonal
+    U, and those of the inputs H_i themselves; n = 7 leaves one index
+    unpaired."""
     rng = derive_rng(16, "jd-pairs")
     if source == "full-diagonal-stack":
         x = rng.standard_normal((6, 7, 7))
@@ -209,32 +222,37 @@ def test_pair_entries_match_the_projected_matrices(source):
     if not _is_compressed(x):
         assert np.array_equal(sweep, dense)
     u = _random_orthogonal(n, rng)
-    for pp, qq in jd_mod._pair_rounds(n):
+    orders, _ = jd_mod._round_layouts(n)
+    for (pp, qq), order in zip(jd_mod._pair_rounds(n), orders):
         assert len(pp) == 3
-        got = jd_mod._pair_entries(weights, ends, coef, u, pp, qq)
-        for h, want in zip(got, _brute_pair_entries(sweep, u, pp, qq)):
-            assert np.abs(h - want).max() <= 1e-12 * np.abs(want).max()
-        # the angle sums g00, g01, g11 are those of the inputs themselves
-        inputs = _brute_pair_entries(dense, u, pp, qq)
-        scale = sum((h * h).sum(axis=1) for h in inputs).max()
-        for a, b in ((0, 0), (0, 1), (1, 1)):
-            want = (inputs[a] * inputs[b]).sum(axis=1)
-            assert np.abs((got[a] * got[b]).sum(axis=1) - want).max() <= 1e-12 * scale
+        z = np.ascontiguousarray(u[:, order])[:, :6].view(complex)
+        got = jd_mod._angle_sums(weights, ends, coef, z)
+        for stack in (sweep, dense):
+            want = _brute_angle_sums(stack, u, pp, qq)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_rotate_is_the_givens_update(n):
-    """The phase rotation of a round is the real Givens update of its pair
-    columns, with the angle 0 of an inactive pair and the quarter turn;
-    the other columns (the unpaired one at n = 7) keep their bits."""
+    """The phase rotation of a round's complex view is the real Givens
+    update of its pair columns, with the angle 0 of an inactive pair and
+    the quarter turn, and the other columns (the unpaired one at n = 7)
+    keep their bits; the step to the next round's layout moves every
+    column bit for bit, the last round's back to the first."""
     rng = derive_rng(18, "jd-rotate")
+    orders, steps = jd_mod._round_layouts(n)
+    assert len(orders) == len(jd_mod._pair_rounds(n))
     for _ in range(5):
         u = _random_orthogonal(n, rng)
-        for pp, qq in jd_mod._pair_rounds(n):
+        laid = np.ascontiguousarray(u[:, orders[0]])
+        for (pp, qq), order, step in zip(jd_mod._pair_rounds(n), orders, steps):
+            assert np.array_equal(laid, u[:, order])
+            assert np.array_equal(order[0 : 2 * len(pp) : 2], pp) and np.array_equal(order[1 : 2 * len(pp) : 2], qq)
             theta = rng.uniform(-np.pi / 4, np.pi / 4, len(pp))
             theta[0], theta[-1] = 0.0, np.pi / 4
-            got = u.copy()
-            jd_mod._rotate(got, pp, qq, theta)
+            jd_mod._rotate(laid[:, : 2 * len(pp)].view(complex), theta)
+            got = np.empty_like(u)
+            got[:, order] = laid
             c, s = np.cos(theta), np.sin(theta)
             want = u.copy()
             want[:, pp], want[:, qq] = c * u[:, pp] + s * u[:, qq], c * u[:, qq] - s * u[:, pp]
@@ -245,6 +263,8 @@ def test_rotate_is_the_givens_update(n):
             assert np.array_equal(got[:, pp[0]], u[:, pp[0]]) and np.array_equal(got[:, qq[0]], u[:, qq[0]])
             assert np.abs(got.T @ got - np.eye(n)).max() <= 1e-14
             u = got
+            laid = np.take(laid, step, axis=1)
+        assert np.array_equal(laid, u[:, orders[0]])
 
 
 def test_jd_runs_are_deterministic():
@@ -265,6 +285,70 @@ def test_jd_runs_are_deterministic():
         assert np.array_equal(again.off2_history, first.off2_history)
         assert np.array_equal(again.avg_diag, first.avg_diag)
         assert again.converged == first.converged
+
+
+@pytest.mark.parametrize("max_sweeps", [3, 100])
+def test_jd_sets_match_their_lone_runs_bit_for_bit(max_sweeps):
+    """Sets swept in one call give their lone runs' results bit for bit: a
+    Gram-side and a dense-side batch, a diagonal stack that stops in its
+    first sweep, a dense stack that runs out of sweeps at max_sweeps = 3
+    beside sets that converge, and all-zero matrices with no sweep weights
+    (r = 0), all at the odd n = 7 where one column sits out every round."""
+    rng = derive_rng(19, "jd-sets")
+    dense = rng.standard_normal((9, 7, 7))
+    dense = dense + dense.transpose(0, 2, 1)
+    sets = [
+        sample_batch(_seven_node_graph(), 200, seed=7),
+        sample_batch(_seven_node_graph(), 5, seed=8),
+        np.stack([np.diag(rng.standard_normal(7)) for _ in range(4)]),
+        dense,
+        np.zeros((4, 7, 7)),
+    ]
+    assert _is_compressed(sets[0]) and not _is_compressed(sets[1])
+    assert len(_sweep_stack(sets[4])) == 0
+    got = joint_diagonalise_sets(sets, tol=1e-12, max_sweeps=max_sweeps)
+    assert len(got) == len(sets)
+    for res, x in zip(got, sets):
+        lone = joint_diagonalise(x, tol=1e-12, max_sweeps=max_sweeps)
+        for name in ("avg_diag", "deviations", "off2_history"):
+            assert getattr(res, name).tobytes() == getattr(lone, name).tobytes(), name
+        assert res.basis.values.tobytes() == lone.basis.values.tobytes()
+        assert res.converged == lone.converged
+    # the diagonal stack records no sweep after its warm start
+    assert got[2].converged and len(got[2].off2_history) == 2
+    assert got[4].converged
+    if max_sweeps == 3:
+        assert not got[3].converged and len(got[3].off2_history) == 5
+    else:
+        assert all(res.converged for res in got)
+    assert joint_diagonalise_sets([]) == []
+    with pytest.raises(ValueError, match="same size"):
+        joint_diagonalise_sets([dense, np.zeros((2, 6, 6))])
+
+
+def test_jd_temporaries_stay_near_the_sweep_weights():
+    """On the dense side (E >= M) the float sweep weights are the one
+    whole-batch array a diagonalisation holds; the round products, the
+    off2 chunks and the readout stay small beside them, so the traced
+    peak of a call, less its input, stays under 2.4 times their bytes
+    (about 1.7 here; projecting n matrices per off2 chunk and casting the
+    incidence again for the readout read about 3)."""
+    net = gen_random_contacts(60, 0.05, 300, seed=0)
+    batch = sample_batch(net, 200, seed=1)
+    incidence = jd_mod._incidence(batch)[0]
+    assert incidence.shape[1] >= incidence.shape[0]
+    weight_bytes = incidence.size * 8
+    del incidence
+    # a first call loads what numpy loads lazily, outside the count
+    joint_diagonalise(sample_batch(net, 5, seed=2), tol=1e-2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        joint_diagonalise(batch, tol=1e-2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * weight_bytes, peak / weight_bytes
 
 
 def test_jd_sweeps_match_the_reference_stack():
@@ -550,19 +634,19 @@ def test_jd_rejects_asymmetric_matrices():
 
 
 def test_jd_non_finite_angle_sums_fail(monkeypatch):
-    # a NaN in one round's pair entries makes that round look inactive; it
+    # a NaN in one round's angle sums makes that round look inactive; it
     # must raise, never end the sweeps as converged
-    pair_entries = jd_mod._pair_entries
+    angle_sums = jd_mod._angle_sums
     calls = []
 
     def poisoned(*args):
-        h0, h1 = pair_entries(*args)
+        sums = angle_sums(*args)
         calls.append(None)
         if len(calls) == 3:
-            h0[0, 0] = np.nan
-        return h0, h1
+            sums[0, 0, 0] = np.nan
+        return sums
 
-    monkeypatch.setattr(jd_mod, "_pair_entries", poisoned)
+    monkeypatch.setattr(jd_mod, "_angle_sums", poisoned)
     rng = derive_rng(9, "jd")
     mats = [SymMatrix.symmetrised(rng.standard_normal((6, 6))) for _ in range(5)]
     with pytest.raises(ConvergenceError, match="angle sums went non-finite"):

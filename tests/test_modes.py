@@ -17,6 +17,8 @@ import contactmodes
 from contactmodes import (
     ConvergenceError,
     DataError,
+    GaussComponent,
+    ModeModel,
     decompose,
     derive_rng,
     fit_gmm_1d,
@@ -27,6 +29,7 @@ from contactmodes import (
     select_modes,
     submode_decompose,
 )
+from contactmodes import jointdiag as jd_mod
 from contactmodes import modes as modes_mod
 from contactmodes.jointdiag import JdResult
 from contactmodes.modes import gamma_moment_fit, write_report
@@ -402,14 +405,16 @@ def test_decompose_stops_when_overall_jd_does_not_converge(monkeypatch):
 
 def _count_jd_calls(monkeypatch) -> list:
     calls = []
-    original = modes_mod.joint_diagonalise
+    original = jd_mod.joint_diagonalise_sets
 
     def counted(*args, **kwargs):
-        res = original(*args, **kwargs)
-        calls.append(res)
-        return res
+        results = original(*args, **kwargs)
+        calls.extend(results)
+        return results
 
-    monkeypatch.setattr(modes_mod, "joint_diagonalise", counted)
+    # joint_diagonalise reaches the shared loop through jointdiag
+    monkeypatch.setattr(jd_mod, "joint_diagonalise_sets", counted)
+    monkeypatch.setattr(modes_mod, "joint_diagonalise_sets", counted)
     return calls
 
 
@@ -480,6 +485,28 @@ def test_per_mode_reconstruction_single_sample_mode():
     assert lone[0].single_sample
     assert lone[0].result is None
     assert np.array_equal(lone[0].matrix.values, batch.matrices()[12])
+
+
+def test_per_mode_reconstruction_names_the_lowest_failing_mode():
+    """The modes share one sweep loop; when two of them fail to converge,
+    the error names the lower one, with the whole-batch result."""
+    rng = derive_rng(3, "two-fail")
+    samples = [_tree_sample({i: i - 1 for i in range(1, 6)})]
+    for _ in range(12):
+        order = rng.permutation(6)
+        parent = {int(order[i]): int(order[rng.integers(i)]) for i in range(1, 6)}
+        samples.append(_tree_sample(parent, root=int(order[0])))
+    batch = SampleBatch(tuple(samples), n_nodes=6, seed=0, source=SourceInfo(kind="temporal", t_min=0.0, t_max=1.0))
+    labels = np.array([0] + [1] * 6 + [2] * 6)
+    comps = tuple(GaussComponent(weight=1.0 / 3.0, mean=float(j), variance=1.0) for j in range(3))
+    model = ModeModel(comps, labels, np.eye(3)[labels], bic=0.0, log_likelihood=0.0)
+    overall = contactmodes.joint_diagonalise(batch)
+    assert overall.converged
+    subsets = [batch.subset(model.members(j)) for j in (1, 2)]
+    assert not any(res.converged for res in contactmodes.joint_diagonalise_sets(subsets, tol=1e-30, max_sweeps=1))
+    with pytest.raises(ConvergenceError, match="of mode 1 did not converge") as info:
+        per_mode_reconstruction(model, batch, overall=overall, tol=1e-30, max_sweeps=1)
+    assert info.value.result is overall
 
 
 def test_import_leaves_scipy_stats_unloaded():
