@@ -390,13 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         out = _prepare_out(args.out)
         cfg = _write_json(out / "config.json", _config_payload(args))
         artefacts = [out / "config.json"]

@@ -5,11 +5,9 @@ class DataError(Exception):
     """Malformed or inconsistent input data (traces, batch files, configs)."""
 
 
-class TraceFormatError(DataError):
-    """A contact trace file could not be parsed.
-
-    Carries the offending line number when one is known.
-    """
+class _LineError(DataError):
+    """A data error that carries the offending line number when one is
+    known, and names it in the message."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -18,14 +16,12 @@ class TraceFormatError(DataError):
         self.line = line
 
 
-class BatchFormatError(DataError):
+class TraceFormatError(_LineError):
+    """A contact trace file could not be parsed."""
+
+
+class BatchFormatError(_LineError):
     """A tree-batch file violates the documented batch layout."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class ConvergenceError(Exception):

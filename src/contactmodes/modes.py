@@ -283,6 +283,16 @@ def _restart_model(x: np.ndarray, k: int, fit: tuple, r: int) -> ModeModel:
     )
 
 
+def _check_em_limits(max_iter: int, tol: float) -> None:
+    """Reject an iteration cap or tolerance that EM cannot run on: a
+    negative cap skips every E-step, and a NaN or negative tol never
+    stops a restart before the cap."""
+    if not max_iter >= 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    if not tol >= 0:  # NaN fails too
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+
+
 def fit_gmm_1d(
     deltas,
     k: int,
@@ -297,6 +307,7 @@ def fit_gmm_1d(
     non-decreasing across iterations.  ``k=1`` uses the closed form
     (sample mean, population variance).
     """
+    _check_em_limits(max_iter, tol)
     x = np.asarray(deltas, dtype=float).ravel()
     m = len(x)
     if not (1 <= k <= m):
@@ -388,6 +399,7 @@ def select_modes(
         raise ValueError("need at least one sample")
     if not np.all(np.isfinite(x)):
         raise ValueError("deltas must be finite")
+    _check_em_limits(max_iter, tol)
     k_cap = min(k_max, int(np.unique(x).size), len(x))
     seeds = {k: [_restart_seed(seed, k, r) for r in range(n_restarts)] for k in range(2, k_cap + 1)}
     fits = _fit_each_k(x, seeds, max_iter, tol)

@@ -121,8 +121,8 @@ class TemporalNetwork:
     def __post_init__(self):
         if self.n_nodes <= 0:
             raise ValueError("a temporal network needs at least one node")
-        if self.granularity <= 0:
-            raise ValueError("granularity must be positive seconds per step")
+        if not 0 < self.granularity < math.inf:  # NaN fails too
+            raise ValueError("granularity must be positive finite seconds per step")
         a, b = _id_column(self.a), _id_column(self.b)
         start = np.array(self.start, dtype=np.float64)
         end = np.array(self.end, dtype=np.float64)

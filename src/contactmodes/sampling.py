@@ -165,6 +165,8 @@ def flood_tree(
     n = net.n_nodes
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range [0, {n})")
+    if horizon is not None and not horizon >= 0:  # NaN fails too
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     ev_a, ev_b, ev_start, _ = net.event_arrays
     m = len(ev_start)
     cutoff = start + horizon if horizon is not None else np.inf
@@ -224,26 +226,25 @@ def sample_batch(
     horizon: float | None = None,
 ) -> SampleBatch:
     """Draw ``m`` tree samples with roots uniform over nodes and, for
-    temporal sources, start times uniform over the trace span."""
+    temporal sources, start times uniform over the trace span.  Tree i
+    draws from its own stream: its root, then a flood's start time."""
     if m < 1:
         raise ValueError("need at least one sample")
-    samples = []
-    if isinstance(source, StaticGraph):
-        n = source.n_nodes
-        for i in range(m):
-            rng = derive_rng(seed, "sample", i)
-            root = int(rng.integers(n))
-            samples.append(bfs_tree(source, root, rng))
+    n = source.n_nodes
+    static = isinstance(source, StaticGraph)
+    if static:
         info = SourceInfo(kind="static", detail=f"static graph n={n}")
     else:
-        n = source.n_nodes
         t0, t1 = source.t_min, source.t_max
-        for i in range(m):
-            rng = derive_rng(seed, "sample", i)
-            root = int(rng.integers(n))
-            start = float(rng.uniform(t0, t1))
-            samples.append(flood_tree(source, root, start, horizon=horizon, rng=rng))
         info = SourceInfo(kind="temporal", t_min=t0, t_max=t1, detail=f"temporal n={n} events={source.n_events}")
+    samples = []
+    for i in range(m):
+        rng = derive_rng(seed, "sample", i)
+        root = int(rng.integers(n))
+        if static:
+            samples.append(bfs_tree(source, root, rng))
+        else:
+            samples.append(flood_tree(source, root, float(rng.uniform(t0, t1)), horizon=horizon, rng=rng))
     return SampleBatch(samples=tuple(samples), n_nodes=n, seed=seed, source=info)
 
 

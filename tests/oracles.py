@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from contactmodes.errors import ConvergenceError
-from contactmodes.jointdiag import _GAIN_GUARD, JdResult, OrthoBasis, _pair_rounds, eig_sym
+from contactmodes.jointdiag import _GAIN_GUARD, JdResult, OrthoBasis, _round_layouts, eig_sym
 from contactmodes.modes import (
     GaussComponent,
     ModeModel,
@@ -82,11 +82,14 @@ def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100)
         pass
     c = np.ascontiguousarray(c)  # the sums below follow the memory order
     idx = np.arange(n)
+    # each round's pairs (p, q) sit in adjacent columns of its layout
+    paired = 2 * (n // 2)
+    rounds = [(order[0:paired:2], order[1:paired:2]) for order in _round_layouts(n)[0]]
     converged = False
     for _ in range(max_sweeps):
         rotations = 0
         guard = max(_GAIN_GUARD * max(history[-1], np.finfo(float).tiny), round_off)
-        for pp, qq in _pair_rounds(n):
+        for pp, qq in rounds:
             h0 = c[:, pp, pp] - c[:, qq, qq]
             h1 = c[:, pp, qq] + c[:, qq, pp]
             g00 = (h0 * h0).sum(axis=0)

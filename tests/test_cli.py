@@ -207,6 +207,22 @@ def test_analyse_without_input_is_usage_error(tmp_path, capsys):
     assert "needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyse", "--jd-tol", "nan"], "tol must be positive"),
+        (["sample", "--granularity", "nan"], "granularity must be positive"),
+        (["sample", "--horizon", "-5"], "horizon must be nonnegative"),
+    ],
+    ids=["jd-tol", "granularity", "horizon"],
+)
+def test_malformed_numbers_are_data_errors(argv, message, synth_dir, two_mode_batch_path, tmp_path, capsys):
+    # each would otherwise run: NaN tol to max_sweeps and exit 3, the others to exit 0
+    source = ["--batch", str(two_mode_batch_path)] if argv[0] == "analyse" else ["--trace", str(synth_dir / "trace.csv")]
+    assert _run(*argv, *source, "--out", str(tmp_path / "o")) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_analyse_flags_non_convergence(synth_dir, tmp_path, capsys):
     sample_out = tmp_path / "s"
     assert _run(

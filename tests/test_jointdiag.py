@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -222,9 +224,8 @@ def test_pair_entries_match_the_projected_matrices(source):
     if not _is_compressed(x):
         assert np.array_equal(sweep, dense)
     u = _random_orthogonal(n, rng)
-    orders, _ = jd_mod._round_layouts(n)
-    for (pp, qq), order in zip(jd_mod._pair_rounds(n), orders):
-        assert len(pp) == 3
+    for order in jd_mod._round_layouts(n)[0]:
+        pp, qq = order[0:6:2], order[1:6:2]
         z = np.ascontiguousarray(u[:, order])[:, :6].view(complex)
         got = jd_mod._angle_sums(weights, ends, coef, z)
         for stack in (sweep, dense):
@@ -234,37 +235,68 @@ def test_pair_entries_match_the_projected_matrices(source):
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_rotate_is_the_givens_update(n):
-    """The phase rotation of a round's complex view is the real Givens
-    update of its pair columns, with the angle 0 of an inactive pair and
-    the quarter turn, and the other columns (the unpaired one at n = 7)
-    keep their bits; the step to the next round's layout moves every
-    column bit for bit, the last round's back to the first."""
+    """Each round's layout is a schedule of disjoint pairs p < q, p
+    ascending, in adjacent columns, the unpaired index of an odd n last,
+    and a sweep meets every unordered pair exactly once (and sits each
+    index of an odd n out once).  The phase rotation of a round's complex
+    view is the real Givens update of its pair columns, with the angle 0
+    of an inactive pair and the quarter turn, and the other columns (the
+    unpaired one at n = 7) keep their bits; the step to the next round's
+    layout moves every column bit for bit, the last round's back to the
+    first."""
     rng = derive_rng(18, "jd-rotate")
     orders, steps = jd_mod._round_layouts(n)
-    assert len(orders) == len(jd_mod._pair_rounds(n))
+    paired = 2 * (n // 2)
+    rounds = [(order[0:paired:2], order[1:paired:2]) for order in orders]
+    assert len(orders) == len(steps) == n - 1 + n % 2
+    for order, (pp, qq) in zip(orders, rounds):
+        assert sorted(order.tolist()) == list(range(n))
+        assert len(pp) == n // 2 and np.all(pp < qq) and np.all(np.diff(pp) > 0)
+    met = sorted((int(p), int(q)) for pp, qq in rounds for p, q in zip(pp, qq))
+    assert met == list(itertools.combinations(range(n), 2))
+    if n % 2:
+        # the index after the pairs is the unpaired one: each sits out once
+        assert sorted(int(order[-1]) for order in orders) == list(range(n))
     for _ in range(5):
         u = _random_orthogonal(n, rng)
         laid = np.ascontiguousarray(u[:, orders[0]])
-        for (pp, qq), order, step in zip(jd_mod._pair_rounds(n), orders, steps):
+        for (pp, qq), order, step in zip(rounds, orders, steps):
             assert np.array_equal(laid, u[:, order])
-            assert np.array_equal(order[0 : 2 * len(pp) : 2], pp) and np.array_equal(order[1 : 2 * len(pp) : 2], qq)
             theta = rng.uniform(-np.pi / 4, np.pi / 4, len(pp))
             theta[0], theta[-1] = 0.0, np.pi / 4
-            jd_mod._rotate(laid[:, : 2 * len(pp)].view(complex), theta)
+            jd_mod._rotate(laid[:, :paired].view(complex), theta)
             got = np.empty_like(u)
             got[:, order] = laid
             c, s = np.cos(theta), np.sin(theta)
             want = u.copy()
             want[:, pp], want[:, qq] = c * u[:, pp] + s * u[:, qq], c * u[:, qq] - s * u[:, pp]
             assert np.abs(got - want).max() <= 1e-15 * np.linalg.norm(u)
-            rest = np.setdiff1d(np.arange(n), np.concatenate([pp, qq]))
-            assert len(rest) == n % 2
+            rest = order[paired:]
             assert np.array_equal(got[:, rest], u[:, rest])
             assert np.array_equal(got[:, pp[0]], u[:, pp[0]]) and np.array_equal(got[:, qq[0]], u[:, qq[0]])
             assert np.abs(got.T @ got - np.eye(n)).max() <= 1e-14
             u = got
             laid = np.take(laid, step, axis=1)
         assert np.array_equal(laid, u[:, orders[0]])
+
+
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"tol": -1e-9}, "tol must be positive"),
+        ({"tol": math.nan}, "tol must be positive"),
+        ({"max_sweeps": -1}, "max_sweeps must be nonnegative"),
+    ],
+    ids=["tol-zero", "tol-negative", "tol-nan", "max-sweeps-negative"],
+)
+def test_jd_rejects_malformed_limits(limits, message):
+    """A tol that is not positive (NaN included) would run every sweep
+    and report a failure to converge, and a negative sweep count no
+    sweep at all; both are rejected before any work."""
+    mats = [SymMatrix.symmetrised(m) for m in derive_rng(19, "jd-limits").standard_normal((3, 4, 4))]
+    with pytest.raises(ValueError, match=message):
+        joint_diagonalise_sets([mats], **limits)
 
 
 def test_jd_runs_are_deterministic():

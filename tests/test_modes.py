@@ -112,6 +112,19 @@ def test_fit_gmm_validation():
         fit_gmm_1d(np.array([5.0, 5.0, 5.0]), k=2)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize(
+    "limits, message",
+    [({"max_iter": -1}, "max_iter must be nonnegative"), ({"tol": math.nan}, "tol must be"), ({"tol": -1e-8}, "tol must be")],
+    ids=["max-iter-negative", "tol-nan", "tol-negative"],
+)
+def test_fit_gmm_rejects_malformed_limits(k, limits, message):
+    # a negative max_iter skips every E-step; a NaN or negative tol never
+    # stops EM before max_iter
+    with pytest.raises(ValueError, match=message):
+        fit_gmm_1d(np.array([1.0, 2.0, 3.0, 7.0]), k=k, **limits)
+
+
 def test_fit_gmm_constant_data_uses_variance_floor():
     model = fit_gmm_1d(np.full(10, 3.0), k=1)
     c = model.components[0]
@@ -154,6 +167,24 @@ def test_select_modes_caps_k_at_distinct_values():
     model = select_modes(x, k_max=6, seed=0)
     assert max(k for k, _ in model.bic_table) <= 3
     assert model.k == 3  # three exact spikes
+
+
+@pytest.mark.parametrize(
+    "deltas, options, message",
+    [
+        ([1.0, 2.0], {"k_max": 0}, "k_max must be at least 1"),
+        ([1.0, 2.0], {"n_restarts": 0}, "n_restarts must be at least 1"),
+        ([], {}, "need at least one sample"),
+        ([1.0, np.inf], {}, "deltas must be finite"),
+        ([1.0, 2.0, 3.0, 7.0], {"max_iter": -1}, "max_iter must be nonnegative"),
+        ([1.0, 2.0, 3.0, 7.0], {"tol": math.nan}, "tol must be"),
+        ([1.0, 2.0, 3.0, 7.0], {"tol": -1e-8}, "tol must be"),
+    ],
+    ids=["k-max", "n-restarts", "empty", "non-finite", "max-iter-negative", "tol-nan", "tol-negative"],
+)
+def test_select_modes_rejects_malformed_arguments(deltas, options, message):
+    with pytest.raises(ValueError, match=message):
+        select_modes(np.array(deltas), **options)
 
 
 def test_select_modes_deterministic():
@@ -539,10 +570,37 @@ def test_import_and_gram_path_load_no_scipy():
 
 
 def test_per_mode_reconstruction_rejects_mismatched_model():
+    """A model, or an overall result, fitted on another batch is refused:
+    other tree counts, or another node count."""
     batch = _two_mode_batch()
     model = fit_gmm_1d(np.arange(5.0), k=1)
     with pytest.raises(ValueError, match="different number of samples"):
         per_mode_reconstruction(model, batch, overall=contactmodes.joint_diagonalise(batch))
+    model = fit_gmm_1d(np.arange(21.0), k=1)
+    for other in (_two_mode_batch(m0=5), _two_mode_batch(n=5)):
+        with pytest.raises(ValueError, match="overall result does not match the batch"):
+            per_mode_reconstruction(model, batch, overall=contactmodes.joint_diagonalise(other))
+
+
+def test_per_mode_reconstruction_drops_an_empty_mode(tmp_path):
+    """A component that wins no tree leaves an empty mode: it is dropped
+    with a warning, the other modes keep their indices and still
+    partition the batch, and the report writes both of their
+    histograms."""
+    batch = _two_mode_batch()
+    labels = np.array([0] * 12 + [2] * 9)
+    comps = tuple(GaussComponent(weight=1.0 / 3.0, mean=float(j), variance=1.0) for j in range(3))
+    model = ModeModel(comps, labels, np.eye(3)[labels], bic=0.0, log_likelihood=0.0)
+    with pytest.warns(UserWarning, match="mode 1 is empty and was dropped"):
+        report = per_mode_reconstruction(model, batch, overall=contactmodes.joint_diagonalise(batch))
+    assert [m.index for m in report.modes] == [0, 2]
+    assert np.array_equal(np.concatenate([m.members for m in report.modes]), np.arange(21))
+    names = {p.name for p in write_report(report, tmp_path)}
+    assert {"mode_0.txt", "mode_2.txt"} <= names and "mode_1.txt" not in names
+    payload = json.loads((tmp_path / "report.json").read_text())
+    histograms = [m["histogram"] for m in payload["modes"]]
+    assert histograms == [report.histogram.counts[j].tolist() for j in (0, 2)]
+    assert [sum(h) for h in histograms] == [12, 9]
 
 
 def test_submode_requires_enough_members():

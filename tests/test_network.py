@@ -112,6 +112,12 @@ def test_temporal_network_rejects_bad_events():
             _net([(0, 1, bad, 1.0)])
 
 
+@pytest.mark.parametrize("granularity", [0.0, -1.0, math.nan, math.inf])
+def test_temporal_network_rejects_malformed_granularity(granularity):
+    with pytest.raises(ValueError, match="granularity must be positive finite"):
+        _net([(0, 1, 0.0, 1.0)], granularity=granularity)
+
+
 def test_temporal_network_rejects_negative_and_non_integer_ids():
     with pytest.raises(ValueError, match="negative node id -1"):
         _net([(-1, 2, 0.0, 1.0)], n=3)

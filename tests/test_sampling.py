@@ -244,6 +244,21 @@ def test_sample_batch_temporal_start_times():
     assert batch.source.t_min == net.t_min
 
 
+@pytest.mark.parametrize("horizon", [-5.0, -np.inf, np.nan])
+def test_flood_tree_rejects_malformed_horizon(horizon):
+    # NaN and a negative horizon read as "no horizon" and "lone roots"
+    net = _temporal([(0, 1, 0.0, 1.0), (1, 2, 1.0, 2.0)], n=3)
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        flood_tree(net, 0, 0.0, horizon=horizon)
+
+
+@pytest.mark.parametrize("horizon", [-5.0, -np.inf, np.nan])
+def test_sample_batch_rejects_malformed_horizon(horizon):
+    net = _temporal([(0, 1, 0.0, 1.0), (1, 2, 1.0, 2.0)], n=3)
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        sample_batch(net, 4, seed=0, horizon=horizon)
+
+
 def test_sample_batch_rejects_empty(bridged_graph):
     with pytest.raises(ValueError):
         sample_batch(bridged_graph, 0, seed=1)
