@@ -203,8 +203,8 @@ def threshold_graph(hbar, tau: float) -> SymMatrix:
     ``hbar`` is read as a :class:`SymMatrix`, so a matrix that is not
     square, finite and symmetric raises ``ValueError``.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not tau >= 0:  # NaN fails too
+        raise ValueError(f"threshold tau must be nonnegative, got {tau}")
     a = SymMatrix(hbar).values.copy()
     a[a < tau] = 0.0
     return SymMatrix(a)

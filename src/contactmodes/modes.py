@@ -112,14 +112,9 @@ class ModeModel:
         x = np.asarray(values, dtype=float).ravel()
         if not np.all(np.isfinite(x)):
             raise ValueError("values must be finite")
-        comps = self.components
-        lp = _log_joint(
-            x,
-            np.array([[c.weight for c in comps]]),
-            np.array([[c.mean for c in comps]]),
-            np.array([[c.variance for c in comps]]),
-        )[0]
-        resp = np.exp(lp - _log_norm(lp)[None, :])
+        params = np.array([(c.weight, c.mean, c.variance) for c in self.components]).T
+        resp = _log_joint(x, *params)
+        _posterior(resp)
         return replace(self, assignments=resp.argmax(axis=0), responsibilities=resp.T)
 
 
@@ -131,34 +126,21 @@ def _variance_floor(x: np.ndarray) -> float:
 
 
 def _log_joint(x, weights, means, variances):
-    # (R, K, M) array of log(w_rj) + log N(x_i; mu_rj, var_rj) for R
-    # parameter sets given as (R, K) arrays; samples run along the last,
-    # contiguous axis so reductions over the few components stay fast
-    return _weigh_squares(_squares(x, means), weights, variances)
+    # (K, M) array of log(w_j) + log N(x_i; mu_j, var_j) for K components
+    # given as 1-D arrays, from the squared distances (x - mu)**2
+    w, mu, var = weights[:, None], means[:, None], variances[:, None]
+    return np.log(w) - 0.5 * (np.log(2.0 * math.pi * var) + (x - mu) ** 2 / var)
 
 
-def _squares(x, means, out=None):
-    # (x - mu)**2 as an (R, K, M) array, in place
-    sq = np.subtract(x, means[:, :, None], out=out)
-    return np.square(sq, out=sq)
-
-
-def _weigh_squares(sq, weights, variances):
-    # turns the squares into the log-joint in place, with the ufuncs in
-    # the order of log(w) - 0.5 * (log(2 pi var) + (x - mu)**2 / var)
-    np.divide(sq, variances[:, :, None], out=sq)
-    np.add(np.log(2.0 * math.pi * variances)[:, :, None], sq, out=sq)
-    np.multiply(0.5, sq, out=sq)
-    return np.subtract(np.log(weights)[:, :, None], sq, out=sq)
-
-
-def _log_norm(lp, scratch=None):
-    # log-sum-exp over the component axis (second to last), shifted by
-    # the per-sample maximum; ``scratch`` (shaped like ``lp``) takes the
-    # shifted exponentials when given
+def _posterior(lp):
+    # turns the log-joint ``lp`` into responsibilities in place and
+    # returns the log-normaliser: log-sum-exp over the component axis
+    # (second to last), shifted by the per-sample maximum, with one exp
     top = lp.max(axis=-2)
-    shifted = np.subtract(lp, top[..., None, :], out=scratch)
-    return top + np.log(np.exp(shifted, out=shifted).sum(axis=-2))
+    np.subtract(lp, top[..., None, :], out=lp)
+    total = np.exp(lp, out=lp).sum(axis=-2)
+    np.multiply(lp, (1.0 / total)[..., None, :], out=lp)
+    return top + np.log(total)
 
 
 def _kmeanspp_centers(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -207,12 +189,19 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
     ``max_iter`` M-steps gets one more E-step to match.  ``iterations``
     counts each restart's M-steps.
 
-    The two (R, k, M) work arrays, ``resp`` and the log-joint, are
-    allocated once, or taken from ``work`` (a flat float array of at
-    least 2 R k M entries, which ``resp`` then views), so no iteration
-    allocates one.  Each M-step squares the distances to the new means
-    once: weighted into the spent ``resp`` they give the variances, and
-    the next E-step turns them into the log-joint in place.
+    Each iteration works on sufficient statistics of the centred sample
+    xc = x - mean(x), held as the rows X = [1; xc; xc**2]: the E-step
+    writes the log-joint as one product of each component's three
+    quadratic coefficients with X, and the M-step reads each component's
+    sums of r, r * xc and r * xc**2 off one product of the
+    responsibilities with X.T.  The products stay stacked per restart,
+    shape (R, k, .), so numpy makes one matrix product per restart of the
+    same shape as the restart's lone run; flattened to (R k, .) they
+    would be one product whose rounding depends on R.  The one (R, k, M)
+    work array holds the log-joint and then, in place, the
+    responsibilities; it is allocated once, or taken from ``work`` (a
+    flat float array of at least R k M entries, which ``resp`` then
+    views), so no iteration allocates one.
     """
     m = len(x)
     r_count = len(seeds)
@@ -236,20 +225,23 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
                 variances[r, j] = max(float(np.var(sel)), floor)
     weights /= weights.sum(axis=1, keepdims=True)
 
+    center = float(x.mean())
+    xc = x - center
+    rows = np.stack([np.ones(m), xc, xc * xc])
     ll = np.full(r_count, -math.inf)
     iterations = np.zeros(r_count, dtype=int)
     going = np.ones(r_count, dtype=bool)
-    size = r_count * k * m
     if work is None:
-        work = np.empty(2 * size)
-    resp = work[:size].reshape(r_count, k, m)
-    lp = _squares(x, means, out=work[size : 2 * size].reshape(r_count, k, m))
+        work = np.empty(r_count * k * m)
+    resp = work[: r_count * k * m].reshape(r_count, k, m)
     for it in range(max_iter + 1):
-        # the previous responsibilities are spent: ``resp`` is the
-        # scratch of the log-sum-exp
-        norm = _log_norm(_weigh_squares(lp, weights, variances), resp)
-        new_ll = norm.sum(axis=1)
-        np.exp(np.subtract(lp, norm[:, None, :], out=resp), out=resp)
+        inv = 1.0 / variances
+        mu = means - center
+        coef = np.stack(
+            [np.log(weights) - 0.5 * (np.log(2.0 * math.pi * variances) + mu * mu * inv), mu * inv, -0.5 * inv],
+            axis=-1,
+        )
+        new_ll = _posterior(np.matmul(coef, rows, out=resp)).sum(axis=1)
         if np.any(new_ll < ll - 1e-9 * (1.0 + np.abs(ll))):
             raise ConvergenceError("EM log-likelihood decreased")
         going &= ~(new_ll - ll < tol * (1.0 + np.abs(new_ll)))
@@ -257,15 +249,16 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
         if not going.any() or it == max_iter:
             break
         iterations += going
-        nk = np.maximum(resp.sum(axis=2), 1e-300)
+        # sums of r, r * xc and r * xc**2 per component; a stopped
+        # restart keeps its parameters, so the next E-step gives it the
+        # same log-joint as before
+        sums = resp @ rows.T
+        nk = np.maximum(sums[:, :, 0], 1e-300)
+        mu = sums[:, :, 1] / nk
         frozen = ~going[:, None]
-        means = np.where(frozen, means, (resp @ x) / nk)
-        # a stopped restart's squares come from its kept means, so the
-        # next E-step gives it the same log-joint as before
-        _squares(x, means, out=lp)
-        np.multiply(resp, lp, out=resp)
         weights = np.where(frozen, weights, nk / m)
-        variances = np.where(frozen, variances, np.maximum(resp.sum(axis=2) / nk, floor))
+        means = np.where(frozen, means, mu + center)
+        variances = np.where(frozen, variances, np.maximum(sums[:, :, 2] / nk - mu * mu, floor))
     return weights, means, variances, resp, ll, iterations
 
 
@@ -329,7 +322,7 @@ def _restart_seed(seed: int, k: int, restart: int) -> int:
 def _best_restart(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol: float, work=None) -> tuple:
     """EM restarts for one k; returns the minimum-BIC restart's model and
     index (the lowest index on ties) and every restart's M-step count,
-    none of which refers to the (R, k, M) work arrays."""
+    none of which refers to the (R, k, M) work array."""
     fit = _em_restarts(x, k, seeds, max_iter, tol, work)
     r = int(np.argmin(_bic(k, len(x), fit[4])))
     return _restart_model(x, k, fit, r), r, tuple(int(i) for i in fit[5])
@@ -350,7 +343,7 @@ def _fit_each_k(x: np.ndarray, seeds: dict, max_iter: int, tol: float) -> dict:
     workers = min(os.cpu_count() or 1, len(seeds))
     if workers <= 1:
         return {k: _best_restart(x, k, seeds[k], max_iter, tol) for k in sorted(seeds)}
-    size = 2 * max(len(s) for s in seeds.values()) * max(seeds) * len(x)
+    size = max(len(s) for s in seeds.values()) * max(seeds) * len(x)
     spare = SimpleQueue()
     for _ in range(workers):
         spare.put(np.empty(size))
@@ -450,8 +443,8 @@ def mode_time_histogram(model: ModeModel, batch: SampleBatch, bin_width: float) 
     trace start."""
     if model.n_samples != len(batch.samples):
         raise ValueError("model was fitted on a different number of samples than the batch holds")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    if not 0 < bin_width < math.inf:  # NaN fails too
+        raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
     times = batch.start_times()
     t0 = batch.source.t_min
     t1 = max(batch.source.t_max, float(times.max(initial=t0)))

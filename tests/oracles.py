@@ -462,15 +462,26 @@ def _reference_log_joint(x, weights, means, variances):
     )
 
 
-def _reference_log_norm(lp):
+def reference_posterior(lp):
+    """Responsibilities and log-normaliser of a log-joint whose component
+    axis is second to last: the max-shifted log-sum-exp, one exp, and the
+    exponentials scaled by the reciprocal of their sum."""
     top = lp.max(axis=-2)
-    return top + np.log(np.exp(lp - top[..., None, :]).sum(axis=-2))
+    e = np.exp(lp - top[..., None, :])
+    total = e.sum(axis=-2)
+    return e * (1.0 / total)[..., None, :], top + np.log(total)
 
 
-def reference_em_restarts(x, k: int, seeds, max_iter: int, tol: float) -> tuple:
+def reference_em_restarts(x, k: int, seeds, max_iter: int, tol: float, direct: bool = False) -> tuple:
     """Batched EM over the restarts as each iteration's plain array
     expressions, gathering and scattering the active restarts on every
-    iteration; returns ``(weights, means, variances, resp, ll)``."""
+    iteration; returns ``(weights, means, variances, resp, ll)``.
+
+    The E-step's log-joint is each component's three quadratic
+    coefficients times the rows [1; xc; xc**2] of the sample centred at
+    its mean, and the M-step's sums of r, r * xc and r * xc**2 are the
+    responsibilities times the same rows.  ``direct`` computes both from
+    the squared distances (x - mu)**2 instead, the textbook form."""
     m = len(x)
     r_count = len(seeds)
     floor = _variance_floor(x)
@@ -493,14 +504,26 @@ def reference_em_restarts(x, k: int, seeds, max_iter: int, tol: float) -> tuple:
                 variances[r, j] = max(float(np.var(sel)), floor)
     weights /= weights.sum(axis=1, keepdims=True)
 
+    center = float(x.mean())
+    xc = x - center
+    rows = np.stack([np.ones(m), xc, xc * xc])
     ll = np.full(r_count, -math.inf)
     resp = np.empty((r_count, k, m))
     active = np.arange(r_count)
     for it in range(max_iter + 1):
-        lp = _reference_log_joint(x, weights[active], means[active], variances[active])
-        norm = _reference_log_norm(lp)
+        w, var = weights[active], variances[active]
+        if direct:
+            lp = _reference_log_joint(x, w, means[active], var)
+        else:
+            mu = means[active] - center
+            coef = np.stack([
+                np.log(w) - 0.5 * (np.log(2.0 * math.pi * var) + mu * mu * (1.0 / var)),
+                mu * (1.0 / var),
+                -0.5 * (1.0 / var),
+            ], axis=-1)
+            lp = coef @ rows
+        resp[active], norm = reference_posterior(lp)
         new_ll = norm.sum(axis=1)
-        resp[active] = np.exp(lp - norm[:, None, :])
         old_ll = ll[active]
         if np.any(new_ll < old_ll - 1e-9 * (1.0 + np.abs(old_ll))):
             raise ConvergenceError("EM log-likelihood decreased")
@@ -509,11 +532,18 @@ def reference_em_restarts(x, k: int, seeds, max_iter: int, tol: float) -> tuple:
         if len(active) == 0 or it == max_iter:
             break
         ra = resp[active]
-        nk = np.maximum(ra.sum(axis=2), 1e-300)
+        if direct:
+            nk = np.maximum(ra.sum(axis=2), 1e-300)
+            mu = (ra @ x) / nk
+            means[active] = mu
+            variances[active] = np.maximum(((x[None, None, :] - mu[:, :, None]) ** 2 * ra).sum(axis=2) / nk, floor)
+        else:
+            sums = ra @ rows.T
+            nk = np.maximum(sums[:, :, 0], 1e-300)
+            mu = sums[:, :, 1] / nk
+            means[active] = mu + center
+            variances[active] = np.maximum(sums[:, :, 2] / nk - mu * mu, floor)
         weights[active] = nk / m
-        mu = (ra @ x) / nk
-        means[active] = mu
-        variances[active] = np.maximum(((x[None, None, :] - mu[:, :, None]) ** 2 * ra).sum(axis=2) / nk, floor)
     return weights, means, variances, resp, ll
 
 

@@ -213,11 +213,17 @@ def test_analyse_without_input_is_usage_error(tmp_path, capsys):
         (["analyse", "--jd-tol", "nan"], "tol must be positive"),
         (["sample", "--granularity", "nan"], "granularity must be positive"),
         (["sample", "--horizon", "-5"], "horizon must be nonnegative"),
+        (["analyse", "--bin-width", "inf"], "bin_width must be positive and finite"),
+        (["analyse", "--bin-width", "nan"], "bin_width must be positive and finite"),
+        (["analyse", "--threshold", "nan"], "threshold tau must be nonnegative"),
     ],
-    ids=["jd-tol", "granularity", "horizon"],
+    ids=["jd-tol", "granularity", "horizon", "bin-width-inf", "bin-width-nan", "threshold-nan"],
 )
 def test_malformed_numbers_are_data_errors(argv, message, synth_dir, two_mode_batch_path, tmp_path, capsys):
-    # each would otherwise run: NaN tol to max_sweeps and exit 3, the others to exit 0
+    # each would otherwise run on: NaN tol to max_sweeps and exit 3, an
+    # infinite bin width or a negative horizon to exit 0, a NaN bin width
+    # to numpy's NaN-to-integer error and a NaN threshold to the later
+    # "weights must be nonnegative"
     source = ["--batch", str(two_mode_batch_path)] if argv[0] == "analyse" else ["--trace", str(synth_dir / "trace.csv")]
     assert _run(*argv, *source, "--out", str(tmp_path / "o")) == 2
     assert message in capsys.readouterr().err

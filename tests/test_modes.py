@@ -34,7 +34,14 @@ from contactmodes import modes as modes_mod
 from contactmodes.jointdiag import JdResult
 from contactmodes.modes import gamma_moment_fit, write_report
 from contactmodes.sampling import SampleBatch, SourceInfo, TreeSample
-from oracles import count_density_modes, reference_fit_gmm_1d, reference_select_modes
+from oracles import (
+    _reference_log_joint,
+    count_density_modes,
+    reference_em_restarts,
+    reference_fit_gmm_1d,
+    reference_posterior,
+    reference_select_modes,
+)
 
 
 def _tree_sample(parent, root=0, start=0.0):
@@ -279,6 +286,55 @@ def test_batched_restarts_equal_each_seed_fitted_alone(k, tol):
         alone = modes_mod._em_restarts(x, k, [seed], 200, tol)
         for got, want in zip(batched, alone):
             assert np.array_equal(got[r], want[0])
+
+
+def _hostile_sample(name):
+    x = _three_bumps()
+    if name == "offset":
+        return x + 1e6
+    if name == "far-spike":
+        return np.concatenate([x, 1e3 + 1e-6 * derive_rng(7, "spike").standard_normal(20)])
+    if name == "floored-ties":
+        return np.round(x)
+    return x
+
+
+# worst seen 8.3e-8, on the 1e6 offset at k = 4, where restarts cut at
+# max_iter amplify the round-off of either form
+_DIRECT_RTOL = 2e-7
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["bumps", "offset", "far-spike", "floored-ties"])
+def test_em_restarts_match_the_direct_form_within_tolerance(name, k):
+    """EM on centred sufficient statistics agrees with EM on the squared
+    distances (x - mu)**2 restart by restart: the same assignments, the
+    log-likelihood within the benchmark's 1e-9 (1 + |ll|) and the
+    parameters within ``_DIRECT_RTOL``, also where a far sample offset,
+    a far narrow spike or ties at the variance floor stress the
+    quadratic form's cancellation."""
+    x = _hostile_sample(name)
+    seeds = [modes_mod._restart_seed(3, k, r) for r in range(10)]
+    for tol in (1e-8, 1e-3):
+        got = modes_mod._em_restarts(x, k, seeds, 200, tol)
+        want = reference_em_restarts(x, k, seeds, 200, tol, direct=True)
+        assert np.array_equal(got[3].argmax(axis=1), want[3].argmax(axis=1))
+        assert np.all(np.abs(got[4] - want[4]) <= 1e-9 * (1.0 + np.abs(want[4])))
+        for g, w, scale in zip(got[:3], want[:3], (0.0, np.sqrt(want[2]), 0.0)):
+            assert np.all(np.abs(g - w) <= _DIRECT_RTOL * (np.abs(w) + scale))
+        if name in ("far-spike", "floored-ties") and k >= 4:
+            assert np.any(want[2] == modes_mod._variance_floor(x))  # some component sits on the floor
+
+
+def test_assign_is_the_direct_posterior_bit_for_bit():
+    x = _three_bumps()
+    model = fit_gmm_1d(x, k=3, seed=1)
+    values = np.concatenate([x[::7], [-40.0, 6.5, 300.0]])
+    params = [np.array([[getattr(c, f) for c in model.components]]) for f in ("weight", "mean", "variance")]
+    resp, _ = reference_posterior(_reference_log_joint(values, *params)[0])
+    got = model.assign(values)
+    assert np.array_equal(got.responsibilities, resp.T)
+    assert np.array_equal(got.assignments, resp.argmax(axis=0))
 
 
 def test_select_modes_threaded_k_match_one_thread(monkeypatch):
