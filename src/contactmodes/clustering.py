@@ -220,16 +220,19 @@ def shortest_path_graph(
     ``hbar`` is read as a :class:`SymMatrix`, so a matrix that is not
     square, finite and symmetric raises ``ValueError``.  The diagonal is
     ignored and tiny negative reconstruction artefacts are clamped to zero.
-    Weights at most ``epsilon`` contribute no edge; the rest become
-    lengths 1/weight, or -log(min(weight, 1)) with ``transform='neglog'``:
-    a weight above 1 gets length 0, because a negative length on an
-    undirected edge would be a negative cycle.  All-pairs shortest paths
-    are computed and an edge is kept when some node pair has a co-minimal
-    path through it, that is, when the edge is itself a co-minimal path
-    between its ends; kept edges retain their original weights.
+    Weights at most ``epsilon``, which must be nonnegative, contribute no
+    edge; the rest become lengths 1/weight, or -log(min(weight, 1)) with
+    ``transform='neglog'``: a weight above 1 gets length 0, because a
+    negative length on an undirected edge would be a negative cycle.
+    All-pairs shortest paths are computed and an edge is kept when some
+    node pair has a co-minimal path through it, that is, when the edge is
+    itself a co-minimal path between its ends; kept edges retain their
+    original weights.
     """
     if transform not in ("reciprocal", "neglog"):
         raise ValueError(f"unknown transform {transform!r}")
+    if not epsilon >= 0:  # NaN fails too
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     a = SymMatrix(hbar).values.copy()
     np.fill_diagonal(a, 0.0)
     np.clip(a, 0.0, None, out=a)

@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from queue import SimpleQueue
 from typing import Sequence
 
 import numpy as np
@@ -135,9 +132,15 @@ def _log_joint(x, weights, means, variances):
 def _posterior(lp):
     # turns the log-joint ``lp`` into responsibilities in place and
     # returns the log-normaliser: log-sum-exp over the component axis
-    # (second to last), shifted by the per-sample maximum, with one exp
+    # (second to last), shifted by the per-sample maximum, with one exp.
+    # Shifted entries are raised to -700 first: below about -708 exp
+    # leaves its vector path for subnormal results, and the products
+    # that read them stall too.  Only responsibilities below 1e-304
+    # move; each per-sample sum, which holds the maximum's exp(0) = 1,
+    # stays as it was
     top = lp.max(axis=-2)
     np.subtract(lp, top[..., None, :], out=lp)
+    np.maximum(lp, -700.0, out=lp)
     total = np.exp(lp, out=lp).sum(axis=-2)
     np.multiply(lp, (1.0 / total)[..., None, :], out=lp)
     return top + np.log(total)
@@ -175,7 +178,7 @@ def _closed_form_k1(x: np.ndarray) -> ModeModel:
     )
 
 
-def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol: float, work=None) -> tuple:
+def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol: float) -> tuple:
     """Run one EM per seed (k >= 2), all of them as a single batched EM.
 
     Each restart starts from its own seeded k-means++ initialisation and
@@ -197,11 +200,9 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
     responsibilities with X.T.  The products stay stacked per restart,
     shape (R, k, .), so numpy makes one matrix product per restart of the
     same shape as the restart's lone run; flattened to (R k, .) they
-    would be one product whose rounding depends on R.  The one (R, k, M)
-    work array holds the log-joint and then, in place, the
-    responsibilities; it is allocated once, or taken from ``work`` (a
-    flat float array of at least R k M entries, which ``resp`` then
-    views), so no iteration allocates one.
+    would be one product whose rounding depends on R.  One (R, k, M)
+    array, allocated once per call, holds each iteration's log-joint and
+    then, in place, its responsibilities.
     """
     m = len(x)
     r_count = len(seeds)
@@ -231,9 +232,7 @@ def _em_restarts(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol
     ll = np.full(r_count, -math.inf)
     iterations = np.zeros(r_count, dtype=int)
     going = np.ones(r_count, dtype=bool)
-    if work is None:
-        work = np.empty(r_count * k * m)
-    resp = work[: r_count * k * m].reshape(r_count, k, m)
+    resp = np.empty((r_count, k, m))
     for it in range(max_iter + 1):
         inv = 1.0 / variances
         mu = means - center
@@ -319,52 +318,6 @@ def _restart_seed(seed: int, k: int, restart: int) -> int:
     return int(derive_seed_sequence(seed, "mode-restart", k, restart).generate_state(1)[0])
 
 
-def _best_restart(x: np.ndarray, k: int, seeds: Sequence[int], max_iter: int, tol: float, work=None) -> tuple:
-    """EM restarts for one k; returns the minimum-BIC restart's model and
-    index (the lowest index on ties) and every restart's M-step count,
-    none of which refers to the (R, k, M) work array."""
-    fit = _em_restarts(x, k, seeds, max_iter, tol, work)
-    r = int(np.argmin(_bic(k, len(x), fit[4])))
-    return _restart_model(x, k, fit, r), r, tuple(int(i) for i in fit[5])
-
-
-def _fit_each_k(x: np.ndarray, seeds: dict, max_iter: int, tol: float) -> dict:
-    """:func:`_best_restart` for every k of ``seeds`` (k -> restart
-    seeds), on at most ``os.cpu_count()`` threads, largest k first so
-    the threads finish together.  Returns k -> fit in k order.  The fits
-    are independent and deterministic, and an error raised by a fit is
-    raised for the lowest k that raised one, so neither the result nor
-    the error depends on the thread count or schedule.
-
-    Each thread works in one of ``workers`` work arrays allocated here,
-    in the calling thread: memory a worker thread allocates goes to a
-    per-thread malloc arena, which keeps it from the rest of the run.
-    """
-    workers = min(os.cpu_count() or 1, len(seeds))
-    if workers <= 1:
-        return {k: _best_restart(x, k, seeds[k], max_iter, tol) for k in sorted(seeds)}
-    size = max(len(s) for s in seeds.values()) * max(seeds) * len(x)
-    spare = SimpleQueue()
-    for _ in range(workers):
-        spare.put(np.empty(size))
-
-    def fit(k):
-        work = spare.get()
-        try:
-            return _best_restart(x, k, seeds[k], max_iter, tol, work)
-        finally:
-            spare.put(work)
-
-    with ThreadPoolExecutor(workers) as pool:
-        futures = {k: pool.submit(fit, k) for k in sorted(seeds, reverse=True)}
-        try:
-            return {k: futures[k].result() for k in sorted(seeds)}
-        except BaseException:
-            for future in futures.values():
-                future.cancel()
-            raise
-
-
 def select_modes(
     deltas,
     k_max: int = 8,
@@ -376,12 +329,12 @@ def select_modes(
     """Fit mixtures for k = 1..k_max and keep the minimum-BIC model.
 
     Each k gets ``n_restarts`` independently seeded EM runs, fitted
-    together; the k are fitted concurrently on at most
-    ``os.cpu_count()`` threads, and the output does not depend on the
-    thread count.  Ties are broken lexicographically on (BIC, k, restart
-    index) so the selection is deterministic.  k is silently capped at
-    the number of distinct values.  The returned model carries the per-k
-    best-BIC table and the M-step count of every restart.
+    together; the k are fitted one after another, and an error raised by
+    a fit is the lowest failing k's.  Ties are broken lexicographically
+    on (BIC, k, restart index) so the selection is deterministic.  k is
+    silently capped at the number of distinct values.  The returned
+    model carries the per-k best-BIC table and the M-step count of every
+    restart.
     """
     x = np.asarray(deltas, dtype=float).ravel()
     if k_max < 1:
@@ -394,18 +347,20 @@ def select_modes(
         raise ValueError("deltas must be finite")
     _check_em_limits(max_iter, tol)
     k_cap = min(k_max, int(np.unique(x).size), len(x))
-    seeds = {k: [_restart_seed(seed, k, r) for r in range(n_restarts)] for k in range(2, k_cap + 1)}
-    fits = _fit_each_k(x, seeds, max_iter, tol)
-
     best = _closed_form_k1(x)
     best_key = (best.bic, 1, 0)
     table = [(1, best.bic)]
-    for k, (model, r, _) in fits.items():
-        if (model.bic, k, r) < best_key:
-            best, best_key = model, (model.bic, k, r)
-        table.append((k, model.bic))
-    iterations = tuple((k, counts) for k, (_, _, counts) in fits.items())
-    return replace(best, bic_table=tuple(table), em_iterations=iterations)
+    iterations = []
+    for k in range(2, k_cap + 1):
+        fit = _em_restarts(x, k, [_restart_seed(seed, k, r) for r in range(n_restarts)], max_iter, tol)
+        bics = _bic(k, len(x), fit[4])
+        r = int(np.argmin(bics))  # the lowest restart index on ties
+        bic = float(bics[r])
+        if (bic, k, r) < best_key:
+            best, best_key = _restart_model(x, k, fit, r), (bic, k, r)
+        table.append((k, bic))
+        iterations.append((k, tuple(int(i) for i in fit[5])))
+    return replace(best, bic_table=tuple(table), em_iterations=tuple(iterations))
 
 
 @dataclass(frozen=True)

@@ -462,26 +462,34 @@ def _reference_log_joint(x, weights, means, variances):
     )
 
 
-def reference_posterior(lp):
+def reference_posterior(lp, floor=-700.0):
     """Responsibilities and log-normaliser of a log-joint whose component
     axis is second to last: the max-shifted log-sum-exp, one exp, and the
-    exponentials scaled by the reciprocal of their sum."""
+    exponentials scaled by the reciprocal of their sum.  Shifted entries
+    below ``floor`` are raised to it before the exp; ``floor=None`` keeps
+    them as they are."""
     top = lp.max(axis=-2)
-    e = np.exp(lp - top[..., None, :])
+    shifted = lp - top[..., None, :]
+    if floor is not None:
+        shifted = np.maximum(shifted, floor)
+    e = np.exp(shifted)
     total = e.sum(axis=-2)
     return e * (1.0 / total)[..., None, :], top + np.log(total)
 
 
-def reference_em_restarts(x, k: int, seeds, max_iter: int, tol: float, direct: bool = False) -> tuple:
+def reference_em_restarts(x, k: int, seeds, max_iter: int, tol: float, direct: bool = False,
+                          exp_floor=-700.0) -> tuple:
     """Batched EM over the restarts as each iteration's plain array
     expressions, gathering and scattering the active restarts on every
-    iteration; returns ``(weights, means, variances, resp, ll)``.
+    iteration; returns ``(weights, means, variances, resp, ll,
+    iterations)``, the last the M-step count of each restart.
 
     The E-step's log-joint is each component's three quadratic
     coefficients times the rows [1; xc; xc**2] of the sample centred at
     its mean, and the M-step's sums of r, r * xc and r * xc**2 are the
     responsibilities times the same rows.  ``direct`` computes both from
-    the squared distances (x - mu)**2 instead, the textbook form."""
+    the squared distances (x - mu)**2 instead, the textbook form.  The
+    E-step is :func:`reference_posterior` with ``exp_floor`` as its floor."""
     m = len(x)
     r_count = len(seeds)
     floor = _variance_floor(x)
@@ -508,6 +516,7 @@ def reference_em_restarts(x, k: int, seeds, max_iter: int, tol: float, direct: b
     xc = x - center
     rows = np.stack([np.ones(m), xc, xc * xc])
     ll = np.full(r_count, -math.inf)
+    iterations = np.zeros(r_count, dtype=int)
     resp = np.empty((r_count, k, m))
     active = np.arange(r_count)
     for it in range(max_iter + 1):
@@ -522,7 +531,7 @@ def reference_em_restarts(x, k: int, seeds, max_iter: int, tol: float, direct: b
                 -0.5 * (1.0 / var),
             ], axis=-1)
             lp = coef @ rows
-        resp[active], norm = reference_posterior(lp)
+        resp[active], norm = reference_posterior(lp, exp_floor)
         new_ll = norm.sum(axis=1)
         old_ll = ll[active]
         if np.any(new_ll < old_ll - 1e-9 * (1.0 + np.abs(old_ll))):
@@ -531,6 +540,7 @@ def reference_em_restarts(x, k: int, seeds, max_iter: int, tol: float, direct: b
         active = active[~(new_ll - old_ll < tol * (1.0 + np.abs(new_ll)))]
         if len(active) == 0 or it == max_iter:
             break
+        iterations[active] += 1
         ra = resp[active]
         if direct:
             nk = np.maximum(ra.sum(axis=2), 1e-300)
@@ -544,11 +554,11 @@ def reference_em_restarts(x, k: int, seeds, max_iter: int, tol: float, direct: b
             means[active] = mu + center
             variances[active] = np.maximum(sums[:, :, 2] / nk - mu * mu, floor)
         weights[active] = nk / m
-    return weights, means, variances, resp, ll
+    return weights, means, variances, resp, ll, iterations
 
 
 def _reference_restart_model(x, k: int, fit: tuple, r: int):
-    weights, means, variances, resp, ll = fit
+    weights, means, variances, resp, ll, _ = fit
     components = tuple(
         GaussComponent(float(w), float(mu), float(v)) for w, mu, v in zip(weights[r], means[r], variances[r])
     )
@@ -561,29 +571,32 @@ def _reference_restart_model(x, k: int, fit: tuple, r: int):
     )
 
 
-def reference_fit_gmm_1d(deltas, k: int, seed: int = 0, max_iter: int = 200, tol: float = 1e-8):
+def reference_fit_gmm_1d(deltas, k: int, seed: int = 0, max_iter: int = 200, tol: float = 1e-8,
+                         exp_floor=-700.0):
     """``fit_gmm_1d`` on :func:`reference_em_restarts` (k >= 2)."""
     x = np.asarray(deltas, dtype=float).ravel()
-    return _reference_restart_model(x, k, reference_em_restarts(x, k, [seed], max_iter, tol), 0)
+    return _reference_restart_model(x, k, reference_em_restarts(x, k, [seed], max_iter, tol, exp_floor=exp_floor), 0)
 
 
 def reference_select_modes(deltas, k_max: int = 8, seed: int = 0, n_restarts: int = 10, max_iter: int = 200,
-                           tol: float = 1e-8):
+                           tol: float = 1e-8, exp_floor=-700.0):
     """Minimum-BIC mixture over k = 1..k_max, fitting one k after the
-    other on :func:`reference_em_restarts`, ties broken on (BIC, k,
-    restart index)."""
+    other on :func:`reference_em_restarts` with ``exp_floor``, ties
+    broken on (BIC, k, restart index)."""
     x = np.asarray(deltas, dtype=float).ravel()
     k_cap = min(k_max, int(np.unique(x).size), len(x))
     best = _closed_form_k1(x)
     best_key = (best.bic, 1, 0)
     table = [(1, best.bic)]
+    iterations = []
     for k in range(2, k_cap + 1):
         seeds = [_restart_seed(seed, k, r) for r in range(n_restarts)]
-        fit = reference_em_restarts(x, k, seeds, max_iter, tol)
+        fit = reference_em_restarts(x, k, seeds, max_iter, tol, exp_floor=exp_floor)
         bics = _bic(k, len(x), fit[4])
         r = int(np.argmin(bics))  # first minimum: lowest restart index on ties
         key = (float(bics[r]), k, r)
         if key < best_key:
             best, best_key = _reference_restart_model(x, k, fit, r), key
         table.append((k, float(bics[r])))
-    return replace(best, bic_table=tuple(table))
+        iterations.append((k, tuple(int(i) for i in fit[5])))
+    return replace(best, bic_table=tuple(table), em_iterations=tuple(iterations))

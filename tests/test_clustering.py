@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -255,6 +256,15 @@ def test_shortest_path_graph_epsilon_excludes_weak_edges():
     h = np.array([[0.0, 0.5, 0.01], [0.5, 0.0, 0.0], [0.01, 0.0, 0.0]])
     g = shortest_path_graph(h, epsilon=0.05)
     assert g.edges() == [(0, 1, 0.5)]
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, -1.0])
+def test_shortest_path_graph_rejects_malformed_epsilon(epsilon):
+    # a NaN floor would drop every edge and a negative one would make
+    # the zero weights edges of infinite length 1/0
+    h = np.array([[0.0, 0.5, 0.01], [0.5, 0.0, 0.0], [0.01, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        shortest_path_graph(h, epsilon=epsilon)
 
 
 def test_shortest_path_graph_handles_disconnected_components():
