@@ -31,7 +31,7 @@ from .clustering import (
     write_newick,
     zero_diagonal,
 )
-from .epidemic import SirParams, default_params, sir_experiment, write_curves_csv, write_ranking_json
+from .epidemic import default_params, sir_experiment, write_curves_csv, write_ranking_json
 from .errors import ConvergenceError, DataError
 from .generators import (
     default_switching_schedule,
@@ -110,20 +110,24 @@ def _load_net(args: argparse.Namespace):
 
 
 # --------------------------------------------------------------------------
-# core pipeline stages (shared between the subcommands and `repro`)
+# core pipeline stages (shared between the subcommands and `repro`): each
+# reads its settings from ``opts``, keyed by the parser's dest names, and
+# lists every file it writes in ``artefacts`` as it lands
 
 
-def _stage_sample(source, m, seed, horizon, out: Path) -> tuple:
-    batch = sample_batch(source, m, seed, horizon=horizon)
-    path = out / "batch.txt"
-    write_batch(batch, path)
-    return batch, path
+def _write(artefacts: list, path: Path, write, *args) -> None:
+    write(*args, path)
+    artefacts.append(path)
+
+
+def _stage_sample(source, horizon, opts, out: Path, artefacts: list):
+    batch = sample_batch(source, opts["m"], opts["seed"], horizon=horizon)
+    _write(artefacts, out / "batch.txt", write_batch, batch)
+    return batch
 
 
 def _write_jd(jd, out: Path, artefacts: list) -> None:
-    jd_path = out / "jd.json"
-    jd.write_json(jd_path)
-    artefacts.append(jd_path)
+    _write(artefacts, out / "jd.json", jd.write_json)
 
     grid, density = kde_density(jd.deviations)
     kde_path = out / "kde.csv"
@@ -134,9 +138,8 @@ def _write_jd(jd, out: Path, artefacts: list) -> None:
     artefacts.append(kde_path)
 
 
-def _stage_analyse(batch, out: Path, opts: dict, artefacts: list) -> None:
-    """Run ``decompose`` and write its reports and graphs; each file is
-    appended to ``artefacts`` as it lands, so it is listed on every exit."""
+def _stage_analyse(batch, opts, out: Path, artefacts: list) -> None:
+    """Run ``decompose`` and write its reports and graphs."""
     try:
         report = decompose(
             batch,
@@ -161,21 +164,22 @@ def _stage_analyse(batch, out: Path, opts: dict, artefacts: list) -> None:
     ]
     for name, matrix in graphs:
         thr = zero_diagonal(threshold_graph(matrix, opts["threshold"]))
-        dot_path = out / f"{name}_threshold.dot"
-        write_dot(thr, dot_path)
-        artefacts.append(dot_path)
+        _write(artefacts, out / f"{name}_threshold.dot", write_dot, thr)
         spg = shortest_path_graph(matrix, epsilon=opts["epsilon"], transform=transform)
-        spg_path = out / f"{name}_paths.dot"
-        write_dot(spg, spg_path)
-        artefacts.append(spg_path)
+        _write(artefacts, out / f"{name}_paths.dot", write_dot, spg)
         if batch.n_nodes >= 2:
             dendro = fiedler_dendrogram(thr, min_size=opts["min_size"])
-            nwk_path = out / f"{name}.newick"
-            write_newick(dendro, nwk_path)
-            artefacts.append(nwk_path)
+            _write(artefacts, out / f"{name}.newick", write_newick, dendro)
 
 
-def _stage_sir(net, params: SirParams, opts: dict, out: Path) -> list:
+def _stage_sir(net, opts, out: Path, artefacts: list) -> None:
+    params = default_params(
+        net,
+        p_transmit=opts["p"],
+        recovery_mean=opts["recovery_mean"],
+        start_step=opts["start_step"],
+        horizon=opts["horizon"],
+    )
     curves = sir_experiment(
         net,
         params,
@@ -185,24 +189,17 @@ def _stage_sir(net, params: SirParams, opts: dict, out: Path) -> list:
         ci=opts["ci"],
         per_step_contacts=opts["per_step_contacts"],
     )
-    curves_path = out / "curves.csv"
-    write_curves_csv(curves, curves_path)
-    ranking_path = out / "ranking.json"
-    write_ranking_json(curves, net.n_nodes, ranking_path)
-    return [curves_path, ranking_path]
+    _write(artefacts, out / "curves.csv", write_curves_csv, curves)
+    _write(artefacts, out / "ranking.json", write_ranking_json, curves, net.n_nodes)
 
 
-def _stage_synth(schedule, seed, tail_exponent, min_gap, out: Path) -> tuple:
-    result = gen_switching(schedule, seed=seed, tail_exponent=tail_exponent, min_gap=min_gap)
-    trace_path = out / "trace.csv"
-    write_trace(result.network, trace_path)
-    labels_path = out / "labels.csv"
-    write_labels(result.labels, labels_path)
-    map_path = out / "label_map.json"
-    write_label_map(result.network, map_path)
-    sched_path = out / "schedule.json"
-    write_schedule(schedule, sched_path)
-    return result, [trace_path, labels_path, map_path, sched_path]
+def _stage_synth(schedule, opts, out: Path, artefacts: list):
+    result = gen_switching(schedule, seed=opts["seed"], tail_exponent=opts["tail_exponent"], min_gap=opts["min_gap"])
+    _write(artefacts, out / "trace.csv", write_trace, result.network)
+    _write(artefacts, out / "labels.csv", write_labels, result.labels)
+    _write(artefacts, out / "label_map.json", write_label_map, result.network)
+    _write(artefacts, out / "schedule.json", write_schedule, schedule)
+    return result
 
 
 # --------------------------------------------------------------------------
@@ -213,8 +210,7 @@ def _stage_synth(schedule, seed, tail_exponent, min_gap, out: Path) -> tuple:
 def _cmd_sample(args, out: Path, artefacts: list) -> None:
     net = _load_net(args)
     source = aggregate_static(net, net.t_min, float(contact_ends(net).max())) if args.static else net
-    _, batch_path = _stage_sample(source, args.m, args.seed, args.horizon, out)
-    artefacts.append(batch_path)
+    _stage_sample(source, args.horizon, vars(args), out, artefacts)
 
 
 def _analyse_batch(args):
@@ -231,69 +227,39 @@ def _analyse_batch(args):
 
 
 def _cmd_analyse(args, out: Path, artefacts: list) -> None:
-    _stage_analyse(_analyse_batch(args), out, vars(args), artefacts)
+    _stage_analyse(_analyse_batch(args), vars(args), out, artefacts)
 
 
 def _cmd_sir(args, out: Path, artefacts: list) -> None:
-    net = _load_net(args)
-    params = default_params(
-        net,
-        p_transmit=args.p,
-        recovery_mean=args.recovery_mean,
-        start_step=args.start_step,
-        horizon=args.horizon,
-    )
-    artefacts.extend(_stage_sir(net, params, vars(args), out))
+    _stage_sir(_load_net(args), vars(args), out, artefacts)
 
 
 def _cmd_synth(args, out: Path, artefacts: list) -> None:
     schedule = read_schedule(args.schedule) if args.schedule else default_switching_schedule(
         n_nodes=args.n_nodes, segment_steps=args.segment_steps
     )
-    _, written = _stage_synth(schedule, args.seed, args.tail_exponent, args.min_gap, out)
-    artefacts.extend(written)
+    _stage_synth(schedule, vars(args), out, artefacts)
 
 
 def _cmd_repro(args, out: Path, artefacts: list) -> None:
-    schedule = default_switching_schedule(n_nodes=args.n_nodes, segment_steps=args.segment_steps)
-    synth_out = _prepare_out(out / "synth")
-    result, synth_art = _stage_synth(schedule, args.seed, args.tail_exponent, args.min_gap, synth_out)
-    artefacts.extend(synth_art)
-
-    batch, batch_path = _stage_sample(result.network, args.m, args.seed, None, _prepare_out(out / "sample"))
-    artefacts.append(batch_path)
-
-    analyse_out = _prepare_out(out / "analyse")
-    opts = {
-        "jd_tol": args.jd_tol,
-        "max_sweeps": args.max_sweeps,
+    # the analyse and SIR settings that `repro` does not take as options;
+    # its own options reach every stage under their dest names
+    fixed = {
         "log_delta": False,
-        "k_max": args.k_max,
-        "seed": args.seed,
-        "restarts": args.restarts,
         "bin_width": float(args.segment_steps),
-        "threshold": args.threshold,
         "epsilon": 0.0,
         "neglog": False,
         "min_size": 1,
-    }
-    _stage_analyse(batch, analyse_out, opts, artefacts)
-
-    sir_out = _prepare_out(out / "sir")
-    params = SirParams(
-        p_transmit=args.p,
-        recovery_mean=args.recovery_mean,
-        start_step=args.start_step,
-        horizon=args.horizon,
-    )
-    sir_opts = {
-        "runs": args.runs,
-        "bootstrap": args.bootstrap,
-        "seed": args.seed,
         "ci": 0.95,
         "per_step_contacts": False,
     }
-    artefacts.extend(_stage_sir(result.network, params, sir_opts, sir_out))
+    opts = {**vars(args), **fixed}
+    schedule = default_switching_schedule(n_nodes=args.n_nodes, segment_steps=args.segment_steps)
+    net = _stage_synth(schedule, opts, _prepare_out(out / "synth"), artefacts).network
+    # --horizon is the SIR window; the trees flood to the end of the trace
+    batch = _stage_sample(net, None, opts, _prepare_out(out / "sample"), artefacts)
+    _stage_analyse(batch, opts, _prepare_out(out / "analyse"), artefacts)
+    _stage_sir(net, opts, _prepare_out(out / "sir"), artefacts)
 
 
 # --------------------------------------------------------------------------

@@ -12,14 +12,13 @@ of its :class:`TemporalNetwork` with whole-array numpy operations.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .network import StaticGraph, SymMatrix, TemporalNetwork
+from .network import StaticGraph, SymMatrix, TemporalNetwork, json_int, read_json
 from .seeds import derive_rng, derive_seed_sequence
 
 _KINDS = ("random", "waxman", "glp")
@@ -57,10 +56,10 @@ class GeneratorSpec:
             bg = p.get("beta_glp")
             if m is None or bg is None:
                 raise ValueError("glp generator needs m_edges and beta_glp")
-            if not (m == int(m) and 1 <= int(m) < self.n_nodes):
+            if not (m.is_integer() and 1 <= m < self.n_nodes):
                 raise ValueError("need integer 1 <= m_edges < n_nodes")
-            if not bg < 1.0:
-                raise ValueError("beta_glp must be below 1")
+            if not -np.inf < bg < 1.0:
+                raise ValueError("beta_glp must be finite and below 1")
 
     def get(self, name: str) -> float:
         return dict(self.params)[name]
@@ -159,8 +158,8 @@ def gen_glp_topology(n: int, m_edges: int = 2, beta_glp: float = 0.2, seed: int 
     """
     if not 1 <= m_edges < n:
         raise ValueError("need 1 <= m_edges < n")
-    if not beta_glp < 1.0:
-        raise ValueError("beta_glp must be below 1")
+    if not -np.inf < beta_glp < 1.0:
+        raise ValueError("beta_glp must be finite and below 1")
     rng = derive_rng(seed, "glp")
     m0 = m_edges + 1
     adj = np.zeros((n, n))
@@ -333,9 +332,12 @@ def spec_to_dict(spec: GeneratorSpec) -> dict:
 
 
 def spec_from_dict(raw: dict) -> GeneratorSpec:
+    for name, value in raw["params"].items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DataError(f"parameter {name} must be a number, got {value!r}")
     return GeneratorSpec(
         kind=raw["kind"],
-        n_nodes=int(raw["n_nodes"]),
+        n_nodes=json_int(raw["n_nodes"], "n_nodes"),
         params=tuple(raw["params"].items()),
     )
 
@@ -352,13 +354,12 @@ def write_schedule(schedule: SwitchingSchedule, path) -> None:
 
 
 def read_schedule(path) -> SwitchingSchedule:
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     try:
         segments = tuple(
-            (spec_from_dict(seg["spec"]), int(seg["duration"])) for seg in raw["segments"]
+            (spec_from_dict(seg["spec"]), json_int(seg["duration"], "duration")) for seg in raw["segments"]
         )
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"{path}: malformed schedule: {exc!r}") from exc
     return SwitchingSchedule(segments)
 

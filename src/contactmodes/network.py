@@ -383,13 +383,32 @@ def write_label_map(net: TemporalNetwork, path: str | Path) -> None:
         fh.write("\n")
 
 
-def read_label_map(path: str | Path) -> dict[str, int]:
+def read_json(path: str | Path):
+    """Parse a JSON input file; text that is not JSON is a
+    :class:`DataError` naming the file."""
     with open(Path(path), "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
-        return {str(k): int(v) for k, v in raw.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: a label map must be a JSON object of label -> node id: {exc!r}") from exc
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: not a JSON file: {exc}") from exc
+
+
+def json_int(value, name: str) -> int:
+    """An integer field read from JSON.  An integral float such as 3.0
+    counts; a bool, a string, or a fractional or non-finite number is a
+    :class:`DataError` naming ``name``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DataError(f"{name} must be an integer, got {value!r}")
+
+
+def read_label_map(path: str | Path) -> dict[str, int]:
+    raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: a label map must be a JSON object of label -> node id")
+    return {str(k): json_int(v, f"{path}: node id of label {k!r}") for k, v in raw.items()}
 
 
 def contact_ends(net: TemporalNetwork) -> np.ndarray:

@@ -1,11 +1,14 @@
+import inspect
 import json
+import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
+from contactmodes import cli
 from contactmodes import modes as modes_mod
 from contactmodes.cli import main
+from contactmodes.epidemic import SirParams
 from contactmodes.generators import GeneratorSpec, SwitchingSchedule, write_schedule
 from contactmodes.modes import decompose, write_report
 from contactmodes.sampling import SampleBatch, SourceInfo, TreeSample, read_batch, write_batch
@@ -233,6 +236,47 @@ def test_malformed_numbers_are_data_errors(argv, message, synth_dir, two_mode_ba
     assert message in capsys.readouterr().err
 
 
+def _glp_params(schedule):
+    return schedule["segments"][2]["spec"]["params"]
+
+
+@pytest.mark.parametrize(
+    "name, edit, field",
+    [
+        ("label_map.json", lambda m: m.update({"0": math.inf}), "node id"),
+        ("label_map.json", lambda m: m.update({"0": 1.9}), "node id"),
+        ("label_map.json", lambda m: m.update({"0": True}), "node id"),
+        ("label_map.json", None, "not a JSON file"),
+        ("schedule.json", lambda s: s["segments"][0]["spec"].update(n_nodes=math.inf), "n_nodes"),
+        ("schedule.json", lambda s: s["segments"][0].update(duration=math.inf), "duration"),
+        ("schedule.json", lambda s: s["segments"][0].update(duration=20.9), "duration"),
+        ("schedule.json", lambda s: _glp_params(s).update(m_edges=math.inf), "m_edges"),
+        ("schedule.json", lambda s: _glp_params(s).update(m_edges=True), "m_edges"),
+        ("schedule.json", lambda s: _glp_params(s).update(beta_glp=-math.inf), "beta_glp"),
+        ("schedule.json", None, "not a JSON file"),
+    ],
+    ids=["id-inf", "id-fraction", "id-bool", "label-map-not-json", "n-nodes-inf", "duration-inf",
+         "duration-fraction", "m-edges-inf", "m-edges-bool", "beta-glp-inf", "schedule-not-json"],
+)
+def test_malformed_json_numbers_are_data_errors(name, edit, field, synth_dir, tmp_path, capsys):
+    # each would otherwise raise OverflowError, be truncated to an integer
+    # without a word, or fail without naming its file
+    bad = tmp_path / name
+    if edit is None:
+        bad.write_text("{not json")
+    else:
+        raw = json.loads((synth_dir / name).read_text())
+        edit(raw)
+        bad.write_text(json.dumps(raw))
+    if name == "label_map.json":
+        argv = ["sample", "--trace", str(synth_dir / "trace.csv"), "--label-map", str(bad), "--m", "5"]
+    else:
+        argv = ["synth", "--schedule", str(bad)]
+    assert _run(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and field in err
+
+
 def test_analyse_flags_non_convergence(synth_dir, tmp_path, capsys):
     sample_out = tmp_path / "s"
     assert _run(
@@ -404,6 +448,43 @@ def test_repro_runs_end_to_end(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "ok"
     assert any(a.startswith("analyse/") for a in manifest["artefacts"])
+
+
+def test_repro_passes_its_settings_to_the_stages(tmp_path, monkeypatch):
+    # the values `repro` runs at its defaults: its own options plus the
+    # analyse and SIR settings it fixes
+    seen = {}
+
+    def recorder(name, fn):
+        def record(*args, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.setdefault(name, []).append(bound.arguments)
+            return fn(*args, **kwargs)
+        return record
+
+    for name in ("sample_batch", "decompose", "sir_experiment", "shortest_path_graph", "fiedler_dendrogram"):
+        monkeypatch.setattr(cli, name, recorder(name, getattr(cli, name)))
+    assert main(["repro", "--out", str(tmp_path / "repro")]) == 0
+
+    def settings(call, want):
+        return {k: call[k] for k in want}
+
+    (sample,) = seen["sample_batch"]
+    want = {"m": 400, "horizon": None}
+    assert settings(sample, want) == want
+    (dec,) = seen["decompose"]
+    want = {"tol": 1e-6, "max_sweeps": 100, "k_max": 6, "n_restarts": 5, "seed": 0, "bin_width": 150.0,
+            "log_delta": False}
+    assert settings(dec, want) == want
+    (sir,) = seen["sir_experiment"]
+    want = {"params": SirParams(0.5, 80.0, 50, 200), "runs_per_node": 5, "bootstrap_resamples": 50, "ci": 0.95,
+            "per_step_contacts": False}
+    assert settings(sir, want) == want
+    want = {"epsilon": 0.0, "transform": "reciprocal"}
+    assert seen["shortest_path_graph"] and all(settings(c, want) == want for c in seen["shortest_path_graph"])
+    want = {"min_size": 1}
+    assert seen["fiedler_dendrogram"] and all(settings(c, want) == want for c in seen["fiedler_dendrogram"])
 
 
 def test_version_flag(capsys):

@@ -7,7 +7,6 @@ import pytest
 from contactmodes import (
     OrthoBasis,
     StaticGraph,
-    SymMatrix,
     derive_rng,
     eig_sym,
     fiedler_dendrogram,
