@@ -12,6 +12,7 @@ of its :class:`TemporalNetwork` with whole-array numpy operations.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -229,7 +230,14 @@ class SwitchingSchedule:
     segments: tuple
 
     def __post_init__(self):
-        segs = tuple((spec, int(dur)) for spec, dur in self.segments)
+        segs = []
+        for i, (spec, dur) in enumerate(self.segments):
+            # a bool, fractional or non-finite duration would be truncated
+            # or overflow in int()
+            if isinstance(dur, bool) or not isinstance(dur, numbers.Real) or not float(dur).is_integer():
+                raise ValueError(f"segment {i}: duration must be a whole number of steps, got {dur!r}")
+            segs.append((spec, int(dur)))
+        segs = tuple(segs)
         if not segs:
             raise ValueError("schedule needs at least one segment")
         for spec, dur in segs:

@@ -22,10 +22,21 @@ place (:func:`_rotate`), and one ``np.take`` moves it to the next
 round's column order.  Every round reads the input coordinates afresh,
 so no rotated stack exists to drift.
 
+Sweeps converge linearly, and where the minimum is shallow or a saddle
+is near they crawl.  A set whose sweep fails the tol rule but still
+gains at least _CRAWL times the previous sweep's gain leaves the sweeps
+and is finished by Riemannian trust-region steps U <- U e^X on the
+orthogonal group (Absil, Baker & Gallivan, Found. Comput. Math. 7(3),
+2007): truncated conjugate gradients on the second-order model of the
+total off2, whose gradient and Hessian products are read from two n^3
+slices of sum_j C_j (x) C_j (see :func:`_second_order`).  A step is kept
+only if it lowers off2, so the history stays non-increasing.
+
 :func:`joint_diagonalise_sets` sweeps several sets of one size in one
 loop (the per-mode diagonalisations of a decomposition): each set keeps
 its own coordinates, product, guard, history and stopping test, while a
-round's angle math and rotation run once for all of them.
+round's angle math and rotation run once for all of them; a set that
+crawls takes its trust-region steps alone.
 """
 
 from __future__ import annotations
@@ -47,6 +58,16 @@ from .network import SymMatrix
 # the recorded off2 history genuinely non-increasing.  The second floor
 # holds once off2 itself is round-off (a single tree's off2 reaches 1e-30).
 _GAIN_GUARD = 1e-13
+
+# A sweep that fails the tol rule but still gains at least this share of
+# the previous sweep's gain is crawling, and the trust region finishes the
+# set.  On the four diagonalisations of `repro` (tol 1e-6) the ratio first
+# reaches it after 6 to 9 sweeps; on the tol 1e-2 benchmark runs and the
+# criterion-6 fixture it stays at or below 0.57 until tol stops them.
+_CRAWL = 0.8
+# Largest trust-region radius, in the Frobenius norm of the skew step X
+# (a Givens rotation by t has ||X|| = sqrt(2) t); the first is an eighth.
+_MAX_RADIUS = math.pi / 2.0
 
 
 class OrthoBasis:
@@ -88,8 +109,10 @@ class JdResult:
 
     ``basis`` is the shared orthogonal basis, ``avg_diag`` the mean
     projected diagonal, ``deviations[i]`` the residual off2 of sample i in
-    the shared basis, and ``off2_history`` the per-sweep total off2
-    (entry 0 is the value before any sweep).
+    the shared basis, and ``off2_history`` the total off2 before any
+    sweep, after the warm start when it was adopted, after each sweep that
+    rotated and after each kept trust-region step.  ``sweeps`` counts the
+    Jacobi sweeps run and ``polish_steps`` the kept trust-region steps.
     """
 
     basis: OrthoBasis
@@ -97,6 +120,8 @@ class JdResult:
     deviations: np.ndarray
     off2_history: np.ndarray
     converged: bool
+    sweeps: int
+    polish_steps: int
 
     @property
     def n(self) -> int:
@@ -113,6 +138,8 @@ class JdResult:
             "deviations": [float(x) for x in self.deviations],
             "off2_history": [float(x) for x in self.off2_history],
             "converged": bool(self.converged),
+            "sweeps": int(self.sweeps),
+            "polish_steps": int(self.polish_steps),
         }
 
     def write_json(self, path: str | Path) -> None:
@@ -130,6 +157,8 @@ class JdResult:
             deviations=np.array(raw["deviations"]),
             off2_history=np.array(raw["off2_history"]),
             converged=bool(raw["converged"]),
+            sweeps=int(raw["sweeps"]),
+            polish_steps=int(raw["polish_steps"]),
         )
 
 
@@ -221,30 +250,138 @@ def _matrices(weights, ends, n: int) -> np.ndarray:
     return stack
 
 
-def _off2_total(weights, ends, u) -> float:
-    """Total off2 of the sweep matrices in the basis U, projecting
-    U^T K_j U for a chunk of matrices at a time.
+def _projections(weights, ends, u):
+    """The sweep matrices in the basis U, U^T K_j U, a chunk at a time.
 
     A chunk holds at most min(n, 2^16 // n^2) matrices, so each of its
     (chunk, n, n) arrays stays within 2^16 entries (512 kB) at any n.
+    """
+    n = len(u)
+    chunk = max(1, min(n, 2**16 // max(n * n, 1)))
+    for lo in range(0, len(weights), chunk):
+        yield u.T @ _matrices(weights[lo : lo + chunk], ends, n) @ u
+
+
+def _chunk_off2(c) -> float:
+    """Summed off2 of a chunk of projected matrices, squaring ``c`` in place.
 
     The squared off-diagonal entries are summed directly: the identity
     ||K_j||^2 - ||diag||^2 would cancel against the diagonal mass, whose
     round-off lies far above the off2 of about 1e-28 that commuting sets
     reach.
     """
-    n = len(u)
-    idx = np.arange(n)
-    chunk = max(1, min(n, 2**16 // max(n * n, 1)))
-    total = 0.0
-    for lo in range(0, len(weights), chunk):
-        c = u.T @ _matrices(weights[lo : lo + chunk], ends, n) @ u
-        c *= c
-        c[:, idx, idx] = 0.0
-        total += float(c.sum())
+    idx = np.arange(c.shape[1])
+    c *= c
+    c[:, idx, idx] = 0.0
+    return float(c.sum())
+
+
+def _finite(total: float) -> float:
     if not math.isfinite(total):
         raise ConvergenceError("off2 went non-finite during joint diagonalisation")
     return total
+
+
+def _off2_total(weights, ends, u) -> float:
+    """Total off2 of the sweep matrices in the basis U."""
+    return _finite(sum(_chunk_off2(c) for c in _projections(weights, ends, u)))
+
+
+def _second_order(weights, ends, u) -> tuple[float, np.ndarray, tuple]:
+    """Total off2 f of the sweep matrices C_j = U^T K_j U, its gradient G
+    along U e^X, and the terms (P, Q, L) of sum_j C_j (x) C_j that the
+    Hessian product reads (see :func:`_hessian_product`), summed over the
+    chunks of :func:`_projections`.
+
+    With d_j = diag(C_j), the gradient is G[p, q] = 2 sum_j (d_j[p] -
+    d_j[q]) C_j[p, q], so that the derivative of f along X is <G, X> =
+    sum G * X; P[p] = sum_j C_j[p, :]^T C_j[p, :] (row p's outer products)
+    and Q[c] = sum_j d_j[c] C_j.  G is summed from the differences d_j[p] -
+    d_j[q], not as the difference of the two large sums M - M^T with
+    M[p, q] = Q[p][p, q], which cancel near a stationary basis.
+    """
+    n = len(u)
+    idx = np.arange(n)
+    total = 0.0
+    g = np.zeros((n, n))
+    p = np.zeros((n, n, n))
+    q = np.zeros((n, n * n))
+    for c in _projections(weights, ends, u):
+        d = c[:, idx, idx]
+        g += ((d[:, :, None] - d[:, None, :]) * c).sum(axis=0)
+        rows = c.transpose(1, 2, 0)  # rows[p] holds C_j[p, :] as column j
+        p += rows @ rows.transpose(0, 2, 1)
+        q += d.T @ c.reshape(len(c), n * n)
+        total += _chunk_off2(c)
+    q = q.reshape(n, n, n)
+    lr = np.einsum("ppc->pc", q) + np.einsum("cpc->pc", q)
+    return _finite(total), g - g.T, (p, q, lr)
+
+
+def _hessian_product(x, p, q, lr) -> np.ndarray:
+    """The Hessian of f(U e^X) at X = 0 applied to a skew X.
+
+    In commutator form it is sum_j 2 [E_j, C_j] + [C_j, [D_j, X]] + [D_j,
+    [C_j, X]], with D_j = diag(C_j) and E_j = diag([C_j, X]).  Written out
+    on the slices of :func:`_second_order` it is 4 (A - A^T) + L X + X L -
+    2 (T - T^T), with A[p, :] = X[:, p]^T P[p], T[:, q] = Q[q] X[:, q] and
+    the symmetric L[p, c] = Q[p][p, c] + Q[c][p, c] (``lr``), so a product
+    costs a few n^3 operations whatever the number of matrices.  As X L =
+    -(L X)^T, it is H - H^T with H = 4 A + L X - 2 T, skew to the last
+    bit, so that round-off grows no symmetric part over the CG iterations.
+    """
+    a = (x.T[:, None, :] @ p)[:, 0, :]
+    t = (q @ x.T[:, :, None])[:, :, 0].T
+    h = 4.0 * a + lr @ x - 2.0 * t
+    return h - h.T
+
+
+def _truncated_cg(g, hessian: tuple, radius: float, f: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Steihaug-Toint truncated conjugate gradients on the model <G, X> +
+    <X, H[X]> / 2 over skew X with ||X|| <= radius (Frobenius norm; Absil,
+    Baker & Gallivan, Found. Comput. Math. 7(3), 2007, alg. 2).
+
+    Returns the step X, H[X] and whether the step was truncated: stopped
+    on the trust-region boundary, along a direction of nonpositive
+    curvature or one that leaves the region.  Otherwise the residual G +
+    H[X] has fallen below ||G|| min(0.1, sqrt(||G|| / f)) (the gradient
+    measured against off2 itself, so the rule does not depend on the
+    matrices' scale), which makes the outer steps converge superlinearly,
+    or CG has run its n (n - 1) / 2 iterations.
+    """
+    x = np.zeros_like(g)
+    hx = np.zeros_like(g)
+    r = g.copy()
+    rr = float(np.vdot(r, r))
+    stop = rr * min(0.01, math.sqrt(rr) / max(f, np.finfo(float).tiny))
+    direction = -r
+    for _ in range(len(g) * (len(g) - 1) // 2):
+        if rr <= stop:
+            break
+        hd = _hessian_product(direction, *hessian)
+        curvature = float(np.vdot(direction, hd))
+        if curvature > 0.0:
+            alpha = rr / curvature
+            step = x + alpha * direction
+            if float(np.vdot(step, step)) < radius * radius:
+                x = step
+                hx += alpha * hd
+                r += alpha * hd
+                rr, rr_old = float(np.vdot(r, r)), rr
+                direction = -r + (rr / rr_old) * direction
+                continue
+        # to the boundary: the positive root tau of ||x + tau d|| = radius
+        dd, xd, xx = float(np.vdot(direction, direction)), float(np.vdot(x, direction)), float(np.vdot(x, x))
+        tau = (math.sqrt(xd * xd + dd * (radius * radius - xx)) - xd) / dd
+        return x + tau * direction, hx + tau * hd, True
+    return x, hx, False
+
+
+def _expm_skew(x) -> np.ndarray:
+    """e^X of a real skew matrix: iX is Hermitian, so with iX = V diag(w)
+    V^H, e^X = V diag(e^{-iw}) V^H, orthogonal to round-off."""
+    w, v = np.linalg.eigh(1j * x)
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real
 
 
 def _angle_sums(weights, ends, coef, z) -> np.ndarray:
@@ -319,6 +456,11 @@ def _round_layouts(n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return orders, steps
 
 
+def _check_orthogonal(u) -> None:
+    if not float(np.abs(u.T @ u - np.eye(len(u))).max()) <= 1e-10:
+        raise ConvergenceError("basis lost orthogonality during joint diagonalisation")
+
+
 class _SweepSet:
     """One input set of :func:`joint_diagonalise_sets`: its coordinates and
     sweep weights, its basis in natural column order, and its own gain
@@ -345,6 +487,8 @@ class _SweepSet:
         off = self.ends[0] != self.ends[1]
         self.history = [2.0 * float(np.einsum("je,je,e->", self.weights, self.weights, off))]
         self.converged = False
+        self.sweeps = 0
+        self.polish_steps = 0
         self.basis = np.eye(self.n)
 
         # Warm start in the eigenbasis of the mean matrix: for near-commuting
@@ -368,19 +512,68 @@ class _SweepSet:
         """Smallest off2 gain a rotation of the coming sweep must predict."""
         return max(_GAIN_GUARD * max(self.history[-1], np.finfo(float).tiny), self.round_off)
 
-    def end_sweep(self, u, rotations: int, tol: float) -> bool:
+    def end_sweep(self, u, rotations: int, tol: float, max_sweeps: int) -> bool:
         """Take the basis ``u`` after a sweep of ``rotations`` rotations;
-        True once the set stops."""
+        True once the set stops.  A sweep that fails the tol rule but
+        gains at least _CRAWL times the previous sweep's gain hands the
+        set to :meth:`polish`, which finishes it."""
         self.basis = u
+        self.sweeps += 1
         if rotations == 0:
             self.converged = True
             return True
-        if not float(np.abs(u.T @ u - np.eye(len(u))).max()) <= 1e-10:
-            raise ConvergenceError("basis lost orthogonality during sweeps")
+        _check_orthogonal(u)
         current = _off2_total(self.weights, self.ends, u)
         self.history.append(current)
-        self.converged = self.history[-2] - current < tol * self.history[0]
+        gain = self.history[-2] - current
+        self.converged = gain < tol * self.history[0]
+        if not self.converged and self.sweeps >= 2 and gain >= _CRAWL * (self.history[-3] - self.history[-2]):
+            self.polish(tol, max_sweeps)
+            return True
         return self.converged
+
+    def polish(self, tol: float, max_sweeps: int) -> None:
+        """Riemannian trust-region steps U <- U e^X from the current basis
+        (Absil, Baker & Gallivan, 2007, alg. 1), each X from
+        :func:`_truncated_cg` on the second-order model of f(U e^X).
+
+        A step is kept only if it lowers off2; a kept step adds a history
+        entry and counts against ``max_sweeps``.  The set converges at
+        the first kept step that the region did not truncate and that
+        gains less than ``tol`` times the initial off2, the sweeps' own
+        rule, or when no step can predict a gain above the guard.
+        """
+        u = self.basis
+        f, g, hessian = _second_order(self.weights, self.ends, u)
+        radius = _MAX_RADIUS / 8.0
+        while self.sweeps + self.polish_steps < max_sweeps:
+            x, hx, truncated = _truncated_cg(g, hessian, radius, f)
+            predicted = -float(np.vdot(g, x)) - 0.5 * float(np.vdot(x, hx))
+            if not math.isfinite(predicted):
+                raise ConvergenceError("trust-region model went non-finite during joint diagonalisation")
+            if predicted <= self.guard():
+                self.converged = True
+                break
+            trial = u @ _expm_skew(x)
+            f_trial, g_trial, hessian_trial = _second_order(self.weights, self.ends, trial)
+            ratio = (f - f_trial) / predicted
+            if ratio < 0.25:
+                radius /= 4.0
+            elif ratio > 0.75 and truncated:
+                radius = min(2.0 * radius, _MAX_RADIUS)
+            if not f_trial < f:
+                # dropped; the quartered radius ends a run of these once
+                # the predicted gain falls to the guard
+                continue
+            _check_orthogonal(trial)
+            self.polish_steps += 1
+            self.history.append(f_trial)
+            gain = f - f_trial
+            u, f, g, hessian = trial, f_trial, g_trial, hessian_trial
+            if not truncated and gain < tol * self.history[0]:
+                self.converged = True
+                break
+        self.basis = u
 
     def result(self) -> JdResult:
         diags, deviations = _sample_diagonals(self.rows, self.ends, self.coef, self.fro2, self.basis)
@@ -396,6 +589,8 @@ class _SweepSet:
             deviations=deviations,
             off2_history=np.array(self.history),
             converged=self.converged,
+            sweeps=self.sweeps,
+            polish_steps=self.polish_steps,
         )
 
 
@@ -421,10 +616,15 @@ def joint_diagonalise(
     Parameters
     ----------
     matrices : SampleBatch or sequence of SymMatrix / square arrays.
-    tol : relative convergence tolerance; sweeps stop once a full sweep
-        reduces the total off2 by less than ``tol`` times its initial
-        value.
-    max_sweeps : hard sweep limit; exceeding it returns ``converged=False``.
+    tol : relative convergence tolerance.  The set converges at the first
+        sweep that reduces the total off2 by less than ``tol`` times its
+        initial value.  A sweep that fails this but still gains at least
+        0.8 of the previous sweep's gain hands the set to trust-region
+        steps, and it converges at the first kept step that the trust
+        region did not truncate and that gains less than ``tol`` times
+        the initial off2.
+    max_sweeps : limit on the sweeps and kept trust-region steps
+        together; reaching it first returns ``converged=False``.
 
     Returns
     -------
@@ -447,8 +647,9 @@ def joint_diagonalise_sets(
     coordinates, sweep weights, gain guard, off2 history and stopping
     test, and its own product at its own size; a round's angle math and
     rotation run once for all sets, and a set leaves the loop when it
-    stops.  Every per-set operation is the one a lone run makes, so each
-    result equals :func:`joint_diagonalise` of its set bit for bit.  The
+    stops; a set that crawls leaves it for its own trust-region steps.
+    Every per-set operation is the one a lone run makes, so each result
+    equals :func:`joint_diagonalise` of its set bit for bit.  The
     sets must all have the same n; ``tol`` and ``max_sweeps`` are as for
     :func:`joint_diagonalise`.
     """
@@ -492,7 +693,10 @@ def joint_diagonalise_sets(
             rotations += active.sum(axis=1)
             u = np.take(u, step, axis=2)
         going = np.array(
-            [not s.end_sweep(np.take(us, natural, axis=1), int(c), tol) for s, us, c in zip(live, u, rotations)]
+            [
+                not s.end_sweep(np.take(us, natural, axis=1), int(c), tol, max_sweeps)
+                for s, us, c in zip(live, u, rotations)
+            ]
         )
         live = [s for s, g in zip(live, going) if g]
         if not live:

@@ -12,9 +12,10 @@ from collections import deque
 from dataclasses import replace
 
 import numpy as np
+import scipy.linalg
 
 from contactmodes.errors import ConvergenceError
-from contactmodes.jointdiag import _GAIN_GUARD, JdResult, OrthoBasis, _round_layouts, eig_sym
+from contactmodes.jointdiag import _CRAWL, _GAIN_GUARD, _MAX_RADIUS, JdResult, OrthoBasis, _round_layouts, eig_sym
 from contactmodes.modes import (
     GaussComponent,
     ModeModel,
@@ -59,12 +60,101 @@ def _reference_off2(stack) -> np.ndarray:
     return s2.sum(axis=(1, 2))
 
 
+def _reference_rotated(stack, u) -> np.ndarray:
+    return np.einsum("ki,mkl,lj->mij", u, stack, u, optimize=True)
+
+
+def reference_gradient(c) -> np.ndarray:
+    """G[p, q] = 2 sum_j (C_j[p, p] - C_j[q, q]) C_j[p, q], entry by entry
+    of the rotated dense stack, projected on the skew matrices."""
+    d = np.einsum("mii->mi", c)
+    g = 2.0 * ((d[:, :, None] - d[:, None, :]) * c).sum(axis=0)
+    return (g - g.T) / 2.0
+
+
+def reference_hessian_product(c, x) -> np.ndarray:
+    """sum_j 2 [E_j, C_j] + [C_j, [D_j, X]] + [D_j, [C_j, X]] by batched
+    commutators on the rotated dense stack, with D_j = diag(C_j) and E_j =
+    diag([C_j, X]), projected on the skew matrices."""
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    eye = np.eye(c.shape[1])
+    dm = np.einsum("mii->mi", c)[:, :, None] * eye
+    cx = comm(c, x)
+    em = np.einsum("mii->mi", cx)[:, :, None] * eye
+    h = (2.0 * comm(em, c) + comm(c, comm(dm, x)) + comm(dm, cx)).sum(axis=0)
+    return (h - h.T) / 2.0
+
+
+def _reference_tcg(c, g, radius, f):
+    """Steihaug-Toint truncated CG on <G, X> + <X, H[X]> / 2, ||X|| <=
+    radius: (X, model decrease, truncated)."""
+    dim = c.shape[1] * (c.shape[1] - 1) // 2
+    x = np.zeros_like(g)
+    r = g.copy()
+    d = -r
+    stop = np.sum(r * r) * min(0.01, np.sqrt(np.sum(r * r)) / max(f, np.finfo(float).tiny))
+    truncated = False
+    for _ in range(dim):
+        rr = np.sum(r * r)
+        if rr <= stop:
+            break
+        hd = reference_hessian_product(c, d)
+        kappa = np.sum(d * hd)
+        if kappa > 0.0 and np.sum((x + rr / kappa * d) ** 2) < radius**2:
+            x = x + rr / kappa * d
+            r = r + rr / kappa * hd
+            d = -r + np.sum(r * r) / rr * d
+            continue
+        # to the boundary: the positive root of ||x + tau d|| = radius
+        a, b, cc = np.sum(d * d), 2.0 * np.sum(x * d), np.sum(x * x) - radius**2
+        x = x + (-b + np.sqrt(b * b - 4.0 * a * cc)) / (2.0 * a) * d
+        truncated = True
+        break
+    decrease = -np.sum(g * x) - 0.5 * np.sum(x * reference_hessian_product(c, x))
+    return x, float(decrease), truncated
+
+
+def _reference_polish(stack, u, history, tol, steps_left, round_off):
+    """Trust-region steps U <- U expm(X) from ``u``, each kept only if off2
+    falls, with the stopping rules of the sweeps: (u, rotated stack,
+    kept steps, converged)."""
+    c = _reference_rotated(stack, u)
+    f = history[-1]
+    radius = _MAX_RADIUS / 8.0
+    steps = 0
+    while steps < steps_left:
+        x, decrease, truncated = _reference_tcg(c, reference_gradient(c), radius, f)
+        if decrease <= max(_GAIN_GUARD * max(f, np.finfo(float).tiny), round_off):
+            return u, c, steps, True
+        trial = u @ scipy.linalg.expm(x)
+        c_trial = _reference_rotated(stack, trial)
+        f_trial = float(_reference_off2(c_trial).sum())
+        ratio = (f - f_trial) / decrease
+        if ratio < 0.25:
+            radius /= 4.0
+        elif ratio > 0.75 and truncated:
+            radius = min(2.0 * radius, _MAX_RADIUS)
+        if f_trial < f:
+            steps += 1
+            history.append(f_trial)
+            gain, u, c, f = f - f_trial, trial, c_trial, f_trial
+            if not truncated and gain < tol * history[0]:
+                return u, c, steps, True
+    return u, c, steps, False
+
+
 def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100) -> JdResult:
     """Joint diagonalisation swept on the dense stack itself, in one
     thread: the same warm start from the mean matrix, the same rounds of
     disjoint rotations and stopping rule, and each sample's diagonal and
-    off2 read back from the rotated stack rather than from coordinates."""
-    c = np.array(stack, dtype=float)
+    off2 read back from the rotated stack rather than from coordinates.
+    A set that crawls is finished by trust-region steps whose gradient
+    and Hessian products are read from the rotated stack."""
+    stack = np.array(stack, dtype=float)
+    c = stack.copy()
     n = c.shape[1]
     history = [float(_reference_off2(c).sum())]
     initial = history[0]
@@ -73,7 +163,7 @@ def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100)
     u = np.eye(n)
     try:
         warm_u = eig_sym(c.mean(axis=0))[1].values.copy()
-        warm_c = np.einsum("ki,mkl,lj->mij", warm_u, c, warm_u, optimize=True)
+        warm_c = _reference_rotated(stack, warm_u)
         warm_off = float(_reference_off2(warm_c).sum())
         if warm_off <= initial:
             u, c = warm_u, warm_c
@@ -86,7 +176,9 @@ def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100)
     paired = 2 * (n // 2)
     rounds = [(order[0:paired:2], order[1:paired:2]) for order in _round_layouts(n)[0]]
     converged = False
-    for _ in range(max_sweeps):
+    sweeps = polish_steps = 0
+    while sweeps < max_sweeps:
+        sweeps += 1
         rotations = 0
         guard = max(_GAIN_GUARD * max(history[-1], np.finfo(float).tiny), round_off)
         for pp, qq in rounds:
@@ -124,6 +216,9 @@ def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100)
         if history[-2] - history[-1] < tol * initial:
             converged = True
             break
+        if sweeps >= 2 and history[-2] - history[-1] >= _CRAWL * (history[-3] - history[-2]):
+            u, c, polish_steps, converged = _reference_polish(stack, u, history, tol, max_sweeps - sweeps, round_off)
+            break
     avg_diag = np.einsum("mii->mi", c).mean(axis=0)
     order = np.argsort(-avg_diag, kind="stable")
     u = u[:, order]
@@ -133,6 +228,8 @@ def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100)
         deviations=_reference_off2(c),
         off2_history=np.array(history),
         converged=converged,
+        sweeps=sweeps,
+        polish_steps=polish_steps,
     )
 
 

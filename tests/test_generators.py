@@ -250,6 +250,16 @@ def test_schedule_validation():
         SwitchingSchedule(((spec, 5), (GeneratorSpec.random(11, 0.1), 5)))
 
 
+@pytest.mark.parametrize("duration", [20.9, True, math.inf, math.nan], ids=["fractional", "bool", "inf", "nan"])
+def test_schedule_rejects_a_duration_that_is_not_whole(duration):
+    """A duration that int() would truncate (20.9 would run 20 steps, True
+    one step) or cannot convert is refused, naming its segment."""
+    spec = GeneratorSpec.random(10, 0.1)
+    with pytest.raises(ValueError, match="segment 1: duration must be a whole number"):
+        SwitchingSchedule(((spec, 5), (spec, duration)))
+    assert SwitchingSchedule(((spec, 5.0), (spec, np.int64(7)))).segments[1][1] == 7
+
+
 def test_gen_switching_segments_disjoint_in_time():
     sched = default_switching_schedule(n_nodes=25, segment_steps=60)
     result = gen_switching(sched, seed=13)
