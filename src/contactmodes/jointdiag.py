@@ -28,15 +28,19 @@ gains at least _CRAWL times the previous sweep's gain leaves the sweeps
 and is finished by Riemannian trust-region steps U <- U e^X on the
 orthogonal group (Absil, Baker & Gallivan, Found. Comput. Math. 7(3),
 2007): truncated conjugate gradients on the second-order model of the
-total off2, whose gradient and Hessian products are read from two n^3
-slices of sum_j C_j (x) C_j (see :func:`_second_order`).  A step is kept
-only if it lowers off2, so the history stays non-increasing.
+total off2, preconditioned by each pair's own curvature, whose gradient
+and Hessian products are read from two n^3 slices of sum_j C_j (x) C_j
+(see :func:`_second_order`).  A step is kept only if it lowers off2, so
+the history stays non-increasing.  Where the steps show a degenerate
+minimum, on which Newton steps would divide round-off by a vanishing
+curvature, the set goes back to its sweeps (see _LINEAR).
 
 :func:`joint_diagonalise_sets` sweeps several sets of one size in one
 loop (the per-mode diagonalisations of a decomposition): each set keeps
 its own coordinates, product, guard, history and stopping test, while a
 round's angle math and rotation run once for all of them; a set that
-crawls takes its trust-region steps alone.
+crawls takes its trust-region steps alone, and one handed back rejoins
+the loop.
 """
 
 from __future__ import annotations
@@ -65,6 +69,14 @@ _GAIN_GUARD = 1e-13
 # reaches it after 6 to 9 sweeps; on the tol 1e-2 benchmark runs and the
 # criterion-6 fixture it stays at or below 0.57 until tol stops them.
 _CRAWL = 0.8
+# Near a nondegenerate minimum each untruncated trust-region step gains a
+# small fraction of the one before (the steps converge quadratically).
+# Where two in a row keep a ratio of at least _LINEAR the minimum is
+# degenerate: along a quartic valley each Newton step gains about
+# (2/3)^4 = 0.2 of the one before and divides the round-off of the gradient
+# by a curvature that vanishes at the minimum.  The set then returns to the
+# sweeps, whose rotations stay well conditioned there.
+_LINEAR = 0.1
 # Largest trust-region radius, in the Frobenius norm of the skew step X
 # (a Givens rotation by t has ||X|| = sqrt(2) t); the first is an eighth.
 _MAX_RADIUS = math.pi / 2.0
@@ -336,39 +348,70 @@ def _hessian_product(x, p, q, lr) -> np.ndarray:
     return h - h.T
 
 
-def _truncated_cg(g, hessian: tuple, radius: float, f: float) -> tuple[np.ndarray, np.ndarray, bool]:
+def _pair_curvatures(p, q, lr) -> np.ndarray:
+    """The Hessian's diagonal on the generators E_pq = e_p e_q^T - e_q
+    e_p^T: entry [p, q] is <E_pq, H[E_pq]> / ||E_pq||^2, the curvature of
+    rotating the pair (p, q) alone, read from the slices of
+    :func:`_second_order` as :func:`_hessian_product` would for X = E_pq.
+    Symmetric, with a meaningless diagonal.
+    """
+    pd = np.einsum("pqq->pq", p)  # P[p][q, q]
+    qd = np.einsum("qpp->qp", q)  # Q[q][p, p]
+    ld = np.diag(lr)
+    return -4.0 * (pd + pd.T) + ld[:, None] + ld[None, :] - 2.0 * (qd + qd.T)
+
+
+def _truncated_cg(g, hessian: tuple, radius: float) -> tuple[np.ndarray, np.ndarray, bool]:
     """Steihaug-Toint truncated conjugate gradients on the model <G, X> +
     <X, H[X]> / 2 over skew X with ||X|| <= radius (Frobenius norm; Absil,
-    Baker & Gallivan, Found. Comput. Math. 7(3), 2007, alg. 2).
+    Baker & Gallivan, Found. Comput. Math. 7(3), 2007, alg. 2), preconditioned
+    by the pair curvatures of :func:`_pair_curvatures`.
 
     Returns the step X, H[X] and whether the step was truncated: stopped
     on the trust-region boundary, along a direction of nonpositive
-    curvature or one that leaves the region.  Otherwise the residual G +
-    H[X] has fallen below ||G|| min(0.1, sqrt(||G|| / f)) (the gradient
-    measured against off2 itself, so the rule does not depend on the
-    matrices' scale), which makes the outer steps converge superlinearly,
-    or CG has run its n (n - 1) / 2 iterations.
+    curvature or one that leaves the region.  Otherwise the preconditioned
+    residual has fallen to 1e-4 of the gradient's, or CG has run its
+    n (n - 1) / 2 iterations.
+
+    The preconditioner divides each entry of the residual by its pair's
+    curvature (its magnitude, so that it stays positive definite away from
+    a minimum); the pair curvatures of one basis spread over decades.  A
+    pair whose curvature lies below sqrt(eps) times the largest, such as
+    two nodes outside every tree, is left out of the step: its gradient
+    and curvature are round-off.  Solving the Newton system to 1e-4 makes
+    each untruncated step nearly the exact Newton step, which sends nearby
+    bases to nearly the same point, so that round-off in G and H does not
+    grow from step to step.  A solve to min(0.1, sqrt(||G|| / f)), the
+    usual superlinear forcing, let it grow by about the Hessian's
+    condition number per step.
     """
+    curv = np.abs(_pair_curvatures(*hessian))
+    np.fill_diagonal(curv, 0.0)
+    kept = curv > math.sqrt(np.finfo(float).eps) * float(curv.max(initial=0.0))
+    inverse = np.zeros_like(curv)
+    inverse[kept] = 1.0 / curv[kept]
     x = np.zeros_like(g)
     hx = np.zeros_like(g)
     r = g.copy()
-    rr = float(np.vdot(r, r))
-    stop = rr * min(0.01, math.sqrt(rr) / max(f, np.finfo(float).tiny))
-    direction = -r
+    z = inverse * r
+    rz = float(np.vdot(r, z))
+    stop = 1e-8 * rz
+    direction = -z
     for _ in range(len(g) * (len(g) - 1) // 2):
-        if rr <= stop:
+        if rz <= stop:
             break
         hd = _hessian_product(direction, *hessian)
         curvature = float(np.vdot(direction, hd))
         if curvature > 0.0:
-            alpha = rr / curvature
+            alpha = rz / curvature
             step = x + alpha * direction
             if float(np.vdot(step, step)) < radius * radius:
                 x = step
                 hx += alpha * hd
                 r += alpha * hd
-                rr, rr_old = float(np.vdot(r, r)), rr
-                direction = -r + (rr / rr_old) * direction
+                z = inverse * r
+                rz, rz_old = float(np.vdot(r, z)), rz
+                direction = -z + (rz / rz_old) * direction
                 continue
         # to the boundary: the positive root tau of ||x + tau d|| = radius
         dd, xd, xx = float(np.vdot(direction, direction)), float(np.vdot(x, direction)), float(np.vdot(x, x))
@@ -515,8 +558,9 @@ class _SweepSet:
     def end_sweep(self, u, rotations: int, tol: float, max_sweeps: int) -> bool:
         """Take the basis ``u`` after a sweep of ``rotations`` rotations;
         True once the set stops.  A sweep that fails the tol rule but
-        gains at least _CRAWL times the previous sweep's gain hands the
-        set to :meth:`polish`, which finishes it."""
+        gains at least _CRAWL times the previous sweep's gain hands the set
+        to :meth:`polish`, which finishes it or, at a degenerate minimum,
+        hands it back to the sweeps."""
         self.basis = u
         self.sweeps += 1
         if rotations == 0:
@@ -527,27 +571,34 @@ class _SweepSet:
         self.history.append(current)
         gain = self.history[-2] - current
         self.converged = gain < tol * self.history[0]
-        if not self.converged and self.sweeps >= 2 and gain >= _CRAWL * (self.history[-3] - self.history[-2]):
-            self.polish(tol, max_sweeps)
+        if self.converged:
             return True
-        return self.converged
+        crawling = self.sweeps >= 2 and gain >= _CRAWL * (self.history[-3] - self.history[-2])
+        if crawling and self.polish(tol, max_sweeps):
+            return True
+        return self.sweeps + self.polish_steps >= max_sweeps
 
-    def polish(self, tol: float, max_sweeps: int) -> None:
+    def polish(self, tol: float, max_sweeps: int) -> bool:
         """Riemannian trust-region steps U <- U e^X from the current basis
         (Absil, Baker & Gallivan, 2007, alg. 1), each X from
-        :func:`_truncated_cg` on the second-order model of f(U e^X).
+        :func:`_truncated_cg` on the second-order model of f(U e^X); True
+        once the set stops.
 
         A step is kept only if it lowers off2; a kept step adds a history
         entry and counts against ``max_sweeps``.  The set converges at
         the first kept step that the region did not truncate and that
         gains less than ``tol`` times the initial off2, the sweeps' own
-        rule, or when no step can predict a gain above the guard.
+        rule, or when no step can predict a gain above the guard.  Two
+        untruncated kept steps in a row whose gains fall by less than a
+        factor 1 / _LINEAR mark a degenerate minimum: False, and the set
+        goes back to its sweeps.
         """
+        newton_gain = None  # the gain of the last kept step, if untruncated
         u = self.basis
         f, g, hessian = _second_order(self.weights, self.ends, u)
         radius = _MAX_RADIUS / 8.0
         while self.sweeps + self.polish_steps < max_sweeps:
-            x, hx, truncated = _truncated_cg(g, hessian, radius, f)
+            x, hx, truncated = _truncated_cg(g, hessian, radius)
             predicted = -float(np.vdot(g, x)) - 0.5 * float(np.vdot(x, hx))
             if not math.isfinite(predicted):
                 raise ConvergenceError("trust-region model went non-finite during joint diagonalisation")
@@ -573,7 +624,12 @@ class _SweepSet:
             if not truncated and gain < tol * self.history[0]:
                 self.converged = True
                 break
+            if not truncated and newton_gain is not None and gain >= _LINEAR * newton_gain:
+                self.basis = u
+                return False
+            newton_gain = None if truncated else gain
         self.basis = u
+        return True
 
     def result(self) -> JdResult:
         diags, deviations = _sample_diagonals(self.rows, self.ends, self.coef, self.fro2, self.basis)
@@ -622,7 +678,8 @@ def joint_diagonalise(
         0.8 of the previous sweep's gain hands the set to trust-region
         steps, and it converges at the first kept step that the trust
         region did not truncate and that gains less than ``tol`` times
-        the initial off2.
+        the initial off2.  Where those steps find a degenerate minimum
+        the set goes back to sweeping.
     max_sweeps : limit on the sweeps and kept trust-region steps
         together; reaching it first returns ``converged=False``.
 
@@ -647,7 +704,8 @@ def joint_diagonalise_sets(
     coordinates, sweep weights, gain guard, off2 history and stopping
     test, and its own product at its own size; a round's angle math and
     rotation run once for all sets, and a set leaves the loop when it
-    stops; a set that crawls leaves it for its own trust-region steps.
+    stops; a set that crawls takes its own trust-region steps between
+    two sweeps, and rejoins the loop if they hand it back.
     Every per-set operation is the one a lone run makes, so each result
     equals :func:`joint_diagonalise` of its set bit for bit.  The
     sets must all have the same n; ``tol`` and ``max_sweeps`` are as for
@@ -667,8 +725,8 @@ def joint_diagonalise_sets(
     natural = np.argsort(orders[0])
     # every set's basis in the current round's column order
     u = np.take(np.stack([s.basis for s in sets]), orders[0], axis=2)
-    live = sets
-    for _ in range(max_sweeps):
+    live = sets if max_sweeps > 0 else []
+    while live:
         guard = np.array([[s.guard()] for s in live])
         rotations = np.zeros(len(live), dtype=int)
         for step in steps:
@@ -699,9 +757,9 @@ def joint_diagonalise_sets(
             ]
         )
         live = [s for s, g in zip(live, going) if g]
-        if not live:
-            break
-        u = u[going]
+        if live:
+            # a set that left the trust region resumes from its basis
+            u = np.take(np.stack([s.basis for s in live]), orders[0], axis=2)
     return [s.result() for s in sets]
 
 

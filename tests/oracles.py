@@ -15,7 +15,16 @@ import numpy as np
 import scipy.linalg
 
 from contactmodes.errors import ConvergenceError
-from contactmodes.jointdiag import _CRAWL, _GAIN_GUARD, _MAX_RADIUS, JdResult, OrthoBasis, _round_layouts, eig_sym
+from contactmodes.jointdiag import (
+    _CRAWL,
+    _GAIN_GUARD,
+    _LINEAR,
+    _MAX_RADIUS,
+    JdResult,
+    OrthoBasis,
+    _round_layouts,
+    eig_sym,
+)
 from contactmodes.modes import (
     GaussComponent,
     ModeModel,
@@ -88,25 +97,45 @@ def reference_hessian_product(c, x) -> np.ndarray:
     return (h - h.T) / 2.0
 
 
-def _reference_tcg(c, g, radius, f):
+def reference_pair_curvatures(c) -> np.ndarray:
+    """<E, H[E]> / ||E||^2 for each generator E = e_p e_q^T - e_q e_p^T,
+    p != q, from one commutator product per generator."""
+    n = c.shape[1]
+    curv = np.zeros((n, n))
+    for p in range(n):
+        for q in range(p + 1, n):
+            e = np.zeros((n, n))
+            e[p, q], e[q, p] = 1.0, -1.0
+            curv[p, q] = curv[q, p] = np.sum(e * reference_hessian_product(c, e)) / 2.0
+    return curv
+
+
+def _reference_tcg(c, g, radius):
     """Steihaug-Toint truncated CG on <G, X> + <X, H[X]> / 2, ||X|| <=
-    radius: (X, model decrease, truncated)."""
+    radius, preconditioned by the magnitudes of the pair curvatures, pairs
+    below sqrt(eps) times the largest left out, stopping once the
+    preconditioned residual falls to 1e-4 of the gradient's: (X, model
+    decrease, truncated)."""
     dim = c.shape[1] * (c.shape[1] - 1) // 2
+    curv = np.abs(reference_pair_curvatures(c))
+    inverse = np.zeros_like(curv)
+    kept = curv > np.sqrt(np.finfo(float).eps) * curv.max(initial=0.0)
+    inverse[kept] = 1.0 / curv[kept]
     x = np.zeros_like(g)
     r = g.copy()
-    d = -r
-    stop = np.sum(r * r) * min(0.01, np.sqrt(np.sum(r * r)) / max(f, np.finfo(float).tiny))
+    d = -inverse * r
+    stop = 1e-8 * np.sum(r * inverse * r)
     truncated = False
     for _ in range(dim):
-        rr = np.sum(r * r)
-        if rr <= stop:
+        rz = np.sum(r * inverse * r)
+        if rz <= stop:
             break
         hd = reference_hessian_product(c, d)
         kappa = np.sum(d * hd)
-        if kappa > 0.0 and np.sum((x + rr / kappa * d) ** 2) < radius**2:
-            x = x + rr / kappa * d
-            r = r + rr / kappa * hd
-            d = -r + np.sum(r * r) / rr * d
+        if kappa > 0.0 and np.sum((x + rz / kappa * d) ** 2) < radius**2:
+            x = x + rz / kappa * d
+            r = r + rz / kappa * hd
+            d = -inverse * r + np.sum(r * inverse * r) / rz * d
             continue
         # to the boundary: the positive root of ||x + tau d|| = radius
         a, b, cc = np.sum(d * d), 2.0 * np.sum(x * d), np.sum(x * x) - radius**2
@@ -119,16 +148,19 @@ def _reference_tcg(c, g, radius, f):
 
 def _reference_polish(stack, u, history, tol, steps_left, round_off):
     """Trust-region steps U <- U expm(X) from ``u``, each kept only if off2
-    falls, with the stopping rules of the sweeps: (u, rotated stack,
-    kept steps, converged)."""
+    falls, with the stopping rules of the sweeps; two untruncated kept
+    steps in a row whose gains fall by less than a factor 1 / _LINEAR hand
+    the set back to the sweeps: (u, rotated stack, kept steps, converged,
+    stopped)."""
     c = _reference_rotated(stack, u)
     f = history[-1]
     radius = _MAX_RADIUS / 8.0
     steps = 0
+    newton_gain = None
     while steps < steps_left:
-        x, decrease, truncated = _reference_tcg(c, reference_gradient(c), radius, f)
+        x, decrease, truncated = _reference_tcg(c, reference_gradient(c), radius)
         if decrease <= max(_GAIN_GUARD * max(f, np.finfo(float).tiny), round_off):
-            return u, c, steps, True
+            return u, c, steps, True, True
         trial = u @ scipy.linalg.expm(x)
         c_trial = _reference_rotated(stack, trial)
         f_trial = float(_reference_off2(c_trial).sum())
@@ -142,8 +174,11 @@ def _reference_polish(stack, u, history, tol, steps_left, round_off):
             history.append(f_trial)
             gain, u, c, f = f - f_trial, trial, c_trial, f_trial
             if not truncated and gain < tol * history[0]:
-                return u, c, steps, True
-    return u, c, steps, False
+                return u, c, steps, True, True
+            if not truncated and newton_gain is not None and gain >= _LINEAR * newton_gain:
+                return u, c, steps, False, False
+            newton_gain = None if truncated else gain
+    return u, c, steps, False, True
 
 
 def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100) -> JdResult:
@@ -177,7 +212,7 @@ def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100)
     rounds = [(order[0:paired:2], order[1:paired:2]) for order in _round_layouts(n)[0]]
     converged = False
     sweeps = polish_steps = 0
-    while sweeps < max_sweeps:
+    while sweeps + polish_steps < max_sweeps:
         sweeps += 1
         rotations = 0
         guard = max(_GAIN_GUARD * max(history[-1], np.finfo(float).tiny), round_off)
@@ -217,8 +252,13 @@ def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100)
             converged = True
             break
         if sweeps >= 2 and history[-2] - history[-1] >= _CRAWL * (history[-3] - history[-2]):
-            u, c, polish_steps, converged = _reference_polish(stack, u, history, tol, max_sweeps - sweeps, round_off)
-            break
+            u, c, steps, converged, stopped = _reference_polish(
+                stack, u, history, tol, max_sweeps - sweeps - polish_steps, round_off
+            )
+            polish_steps += steps
+            if stopped:
+                break
+            c = np.ascontiguousarray(c)
     avg_diag = np.einsum("mii->mi", c).mean(axis=0)
     order = np.argsort(-avg_diag, kind="stable")
     u = u[:, order]
