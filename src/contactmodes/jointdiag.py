@@ -71,11 +71,13 @@ _GAIN_GUARD = 1e-13
 _CRAWL = 0.8
 # Near a nondegenerate minimum each untruncated trust-region step gains a
 # small fraction of the one before (the steps converge quadratically).
-# Where two in a row keep a ratio of at least _LINEAR the minimum is
-# degenerate: along a quartic valley each Newton step gains about
-# (2/3)^4 = 0.2 of the one before and divides the round-off of the gradient
-# by a curvature that vanishes at the minimum.  The set then returns to the
-# sweeps, whose rotations stay well conditioned there.
+# Where three in a row each gain at least _LINEAR of the one before, the
+# minimum is degenerate: along a quartic valley each Newton step gains
+# about (2/3)^4 = 0.2 of the one before and divides the round-off of the
+# gradient by a curvature that vanishes at the minimum.  The set then
+# returns to the sweeps, whose rotations stay well conditioned there.  One
+# such ratio is not enough: the first untruncated steps after truncated
+# ones can gain that much on their way into the quadratic regime.
 _LINEAR = 0.1
 # Largest trust-region radius, in the Frobenius norm of the skew step X
 # (a Givens rotation by t has ||X|| = sqrt(2) t); the first is an eighth.
@@ -381,8 +383,8 @@ def _truncated_cg(g, hessian: tuple, radius: float) -> tuple[np.ndarray, np.ndar
     and curvature are round-off.  Solving the Newton system to 1e-4 makes
     each untruncated step nearly the exact Newton step, which sends nearby
     bases to nearly the same point, so that round-off in G and H does not
-    grow from step to step.  A solve to min(0.1, sqrt(||G|| / f)), the
-    usual superlinear forcing, let it grow by about the Hessian's
+    grow from step to step; under the usual superlinear forcing, a solve
+    to min(0.1, sqrt(||G|| / f)), it grows by about the Hessian's
     condition number per step.
     """
     curv = np.abs(_pair_curvatures(*hessian))
@@ -588,12 +590,13 @@ class _SweepSet:
         entry and counts against ``max_sweeps``.  The set converges at
         the first kept step that the region did not truncate and that
         gains less than ``tol`` times the initial off2, the sweeps' own
-        rule, or when no step can predict a gain above the guard.  Two
-        untruncated kept steps in a row whose gains fall by less than a
-        factor 1 / _LINEAR mark a degenerate minimum: False, and the set
+        rule, or when no step can predict a gain above the guard.  Three
+        untruncated kept steps in a row, each gaining at least _LINEAR
+        of the one before, mark a degenerate minimum: False, and the set
         goes back to its sweeps.
         """
         newton_gain = None  # the gain of the last kept step, if untruncated
+        slow = 0  # untruncated steps in a row gaining _LINEAR of the one before
         u = self.basis
         f, g, hessian = _second_order(self.weights, self.ends, u)
         radius = _MAX_RADIUS / 8.0
@@ -624,7 +627,8 @@ class _SweepSet:
             if not truncated and gain < tol * self.history[0]:
                 self.converged = True
                 break
-            if not truncated and newton_gain is not None and gain >= _LINEAR * newton_gain:
+            slow = slow + 1 if newton_gain is not None and not truncated and gain >= _LINEAR * newton_gain else 0
+            if slow == 2:
                 self.basis = u
                 return False
             newton_gain = None if truncated else gain

@@ -148,8 +148,8 @@ def _reference_tcg(c, g, radius):
 
 def _reference_polish(stack, u, history, tol, steps_left, round_off):
     """Trust-region steps U <- U expm(X) from ``u``, each kept only if off2
-    falls, with the stopping rules of the sweeps; two untruncated kept
-    steps in a row whose gains fall by less than a factor 1 / _LINEAR hand
+    falls, with the stopping rules of the sweeps; three untruncated kept
+    steps in a row, each gaining at least _LINEAR of the one before, hand
     the set back to the sweeps: (u, rotated stack, kept steps, converged,
     stopped)."""
     c = _reference_rotated(stack, u)
@@ -157,6 +157,7 @@ def _reference_polish(stack, u, history, tol, steps_left, round_off):
     radius = _MAX_RADIUS / 8.0
     steps = 0
     newton_gain = None
+    slow = 0
     while steps < steps_left:
         x, decrease, truncated = _reference_tcg(c, reference_gradient(c), radius)
         if decrease <= max(_GAIN_GUARD * max(f, np.finfo(float).tiny), round_off):
@@ -175,7 +176,8 @@ def _reference_polish(stack, u, history, tol, steps_left, round_off):
             gain, u, c, f = f - f_trial, trial, c_trial, f_trial
             if not truncated and gain < tol * history[0]:
                 return u, c, steps, True, True
-            if not truncated and newton_gain is not None and gain >= _LINEAR * newton_gain:
+            slow = slow + 1 if newton_gain is not None and not truncated and gain >= _LINEAR * newton_gain else 0
+            if slow == 2:
                 return u, c, steps, False, False
             newton_gain = None if truncated else gain
     return u, c, steps, False, True

@@ -511,8 +511,8 @@ def _assert_matches_dense(batch, in_tree_order=True, drawn=False):
 @example(SampleBatch((TreeSample(root=0, start_time=0.0, parent={4: 0}, partial=True),) * 3
                      + (TreeSample(root=1, start_time=0.0, parent={4: 1, 2: 4, 3: 4}, partial=True),),
                      n_nodes=7, seed=0))
-# a degenerate minimum: after 7 sweeps two trust-region steps take off2
-# from 2.0000091 to 2.0000004, the second gaining 0.2 of the first, and
+# a degenerate minimum: after 7 sweeps three trust-region steps take off2
+# from 2.0000091 to 2.00000007, each gaining 0.2 of the one before, and
 # hand the set back to the sweeps (see the test below)
 @example(SampleBatch((TreeSample(root=3, start_time=0.0, parent={1: 3}, partial=True),
                       TreeSample(root=1, start_time=0.0, parent={0: 1, 2: 1, 5: 1}, partial=True)),
@@ -758,21 +758,20 @@ def test_degenerate_minimum_goes_back_to_the_sweeps():
     """Two partial trees whose off2 has a quartic valley at its minimum:
     Newton steps along it gain a fixed share of the one before and divide
     the gradient's round-off by a curvature that vanishes there, so the
-    trust region hands the set back after its second step and a sweep
-    finishes it.  The result then does not depend on the order of the
-    trees beyond round-off; Newton steps to the tol rule left it 1.8e-12
-    apart in avg_diag."""
+    trust region hands the set back after its third step and a sweep
+    finishes it.  Four orders of the same trees then agree in avg_diag
+    to 1.4e-13; Newton steps to the tol rule left them 1.8e-12 apart."""
     lone = TreeSample(root=3, start_time=0.0, parent={1: 3}, partial=True)
     star = TreeSample(root=1, start_time=0.0, parent={0: 1, 2: 1, 5: 1}, partial=True)
     results = [joint_diagonalise(SampleBatch(trees, n_nodes=7, seed=0)) for trees in
                [(lone, star), (star, lone), (lone, star, lone, star), (lone, lone, star, star)]]
     res = results[0]
-    assert res.converged and res.polish_steps == 2 and res.sweeps == 8
+    assert res.converged and res.polish_steps == 3 and res.sweeps == 8
     gains = -np.diff(res.off2_history)
-    # the two kept steps, then the sweep that meets the tol rule
-    assert gains[-2] >= jd_mod._LINEAR * gains[-3] and gains[-1] < 1e-9 * res.off2_history[0]
+    # the three kept steps, then the sweep that meets the tol rule
+    assert np.all(gains[-3:-1] >= jd_mod._LINEAR * gains[-4:-2]) and gains[-1] < 1e-9 * res.off2_history[0]
     for other in results[1:]:
-        assert np.abs(other.avg_diag - res.avg_diag).max() <= 1e-13
+        assert np.abs(other.avg_diag - res.avg_diag).max() <= 5e-13
 
 
 def test_jd_unconverged_flag_and_force():
