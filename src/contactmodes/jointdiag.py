@@ -82,6 +82,15 @@ _LINEAR = 0.1
 # Largest trust-region radius, in the Frobenius norm of the skew step X
 # (a Givens rotation by t has ||X|| = sqrt(2) t); the first is an eighth.
 _MAX_RADIUS = math.pi / 2.0
+# The coordinate Gram and the readout cast the M x E coordinates to float
+# a row chunk at a time (see :func:`_chunks`), so that no float copy of a
+# whole bool incidence exists.  A chunk holds about _CHUNK_ENTRIES entries
+# (2 MB as float64) but never fewer than _CHUNK_FLOOR rows: readouts in
+# chunks of 512 rows or more matched the one-shot product bit for bit,
+# while shorter chunks changed its last bit at E = 974 (a 1-row chunk
+# takes BLAS's matrix-vector path).
+_CHUNK_ENTRIES = 2**18
+_CHUNK_FLOOR = 512
 
 
 class OrthoBasis:
@@ -197,6 +206,18 @@ def project(h, basis: OrthoBasis) -> SymMatrix:
     return SymMatrix.symmetrised(u.T @ hv @ u)
 
 
+def _chunks(m: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) of the row chunks of M rows of ``width`` entries:
+    ceil(M / rows) nearly equal chunks for rows = max(_CHUNK_FLOOR,
+    _CHUNK_ENTRIES // width), but at most M // _CHUNK_FLOOR of them, so
+    that every chunk, the last one included, holds at least _CHUNK_FLOOR
+    rows (fewer rows make one chunk)."""
+    rows = max(_CHUNK_FLOOR, _CHUNK_ENTRIES // max(width, 1))
+    count = max(1, min(-(-m // rows), m // _CHUNK_FLOOR))
+    bounds = [i * m // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _incidence(matrices) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray, int]:
     """Read any input as coordinates H_i = sum_e B[i, e] S_e, with S_e the
     symmetric 0/1 matrix of the upper-triangle entry ends[e] = (a, b) and
@@ -230,6 +251,23 @@ def _incidence(matrices) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.
     return incidence, ends, coef, n
 
 
+def _gram(rows) -> np.ndarray:
+    """B^T B of the M x E coordinates, summed in float64 over their row
+    chunks, each cast on its own.  A bool chunk is cast to float32: its
+    product holds integer counts below 2^24, exact in single precision and
+    about twice as fast, so the Gram of an incidence is exact in any chunk
+    order.  Other coordinates are cast to float64, and their chunked sum
+    may differ from a one-shot product in the last bits."""
+    m, e = rows.shape
+    dtype = np.float32 if rows.dtype == bool else float
+    gram = np.zeros((e, e))
+    for start, stop in _chunks(m, e):
+        b = rows[start:stop].astype(dtype, copy=False)
+        gram += b.T @ b
+        del b  # before the next chunk is cast
+    return gram
+
+
 def _sweep_weights(incidence) -> np.ndarray:
     """Coordinates W (r x E) of the matrices K_j = sum_e W[j, e] S_e that
     the sweeps diagonalise: the M inputs themselves, or, when they use
@@ -241,19 +279,22 @@ def _sweep_weights(incidence) -> np.ndarray:
     quantity a sweep reads (the angle sums g00/g01/g11 and the off2 totals)
     is such a sum, so the sweeps take the same steps on the r <= E matrices
     K_j as on the M inputs.  This is the reduction JADE applies to its
-    cumulant set (Cardoso & Souloumiac, IEE Proc. F 140(6), 1993).
+    cumulant set (Cardoso & Souloumiac, IEE Proc. F 140(6), 1993).  The
+    Gram is summed over row chunks (see :func:`_gram`).
     """
-    b = incidence.astype(float, copy=False)
-    if b.shape[1] >= b.shape[0]:
-        return b
+    if incidence.shape[1] >= incidence.shape[0]:
+        return incidence.astype(float, copy=False)
     try:
-        lam, vecs = np.linalg.eigh(b.T @ b)
+        lam, vecs = np.linalg.eigh(_gram(incidence))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed on the coordinate Gram matrix: {exc}") from exc
     # eigenvalues at round-off level (the Gram is singular when inputs
     # repeat) carry no mass; sqrt of a tiny negative one would be NaN
     keep = lam > lam.max(initial=0.0) * len(lam) * np.finfo(float).eps
-    return (vecs[:, keep] * np.sqrt(lam[keep])).T
+    # scaled in place, so that at most two E x E arrays are alive
+    vecs = vecs[:, keep]
+    vecs *= np.sqrt(lam[keep])
+    return vecs.T
 
 
 def _matrices(weights, ends, n: int) -> np.ndarray:
@@ -461,11 +502,14 @@ def _rotate(z, theta) -> None:
 
 def _sample_diagonals(rows, ends, coef, fro2, u) -> tuple[np.ndarray, np.ndarray]:
     """Each input's projected diagonal diag(U^T H_i U) and its residual
-    off2, ||H_i||^2 - ||diag||^2, read from its coordinate row."""
+    off2, ||H_i||^2 - ||diag||^2, read from its coordinate row, a row
+    chunk at a time (a bool chunk is cast to float on its own)."""
     g = u[ends[0]]
     g *= coef[:, None]
     g *= u[ends[1]]
-    diags = rows @ g
+    diags = np.empty((len(rows), len(u)))
+    for start, stop in _chunks(*rows.shape):
+        np.matmul(rows[start:stop].astype(float, copy=False), g, out=diags[start:stop])
     # the subtraction cancels for nearly diagonal inputs; clip its round-off
     deviations = np.clip(fro2 - (diags * diags).sum(axis=1), 0.0, fro2)
     return diags, deviations

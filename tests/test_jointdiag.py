@@ -630,6 +630,123 @@ def test_jd_generic_stack_matches_dense(m_count, n):
 
 
 # ---------------------------------------------------------------------------
+# Row chunks: the Gram and the readout never cast a whole incidence
+
+
+@pytest.fixture(scope="module")
+def many_trees():
+    """3,000 flooding trees on 24 nodes that use 273 distinct edges, so the
+    Gram side reads their incidence in four row chunks."""
+    net = gen_random_contacts(24, 0.05, 100, seed=0)
+    return net, sample_batch(net, 3000, seed=1)
+
+
+def _one_chunk(monkeypatch):
+    """Make every batch one row chunk, as a one-shot product reads it."""
+    monkeypatch.setattr(jd_mod, "_CHUNK_FLOOR", 10**9)
+
+
+def test_jd_gram_side_holds_no_float_copy_of_the_incidence(many_trees):
+    """On the Gram side (E < M) the Gram and the readout cast the bool
+    incidence a row chunk at a time, so the traced peak of a call stays
+    below the bytes of one float copy of its M x E incidence (about 0.57 of
+    it here, set by the batch's edge index arrays; 1.41 when both cast the
+    whole incidence)."""
+    net, batch = many_trees
+    m_count, e = jd_mod._incidence(batch)[0].shape
+    assert e < m_count
+    # a first call loads what numpy loads lazily, outside the count
+    joint_diagonalise(sample_batch(net, 5, seed=2), tol=1e-2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        joint_diagonalise(batch, tol=1e-2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < m_count * e * 8, peak / (m_count * e * 8)
+
+
+def test_jd_result_does_not_depend_on_the_row_chunks(many_trees, monkeypatch):
+    """A tree batch read in four row chunks gives the result of one chunk
+    bit for bit: its Gram is integer counts and its readout chunks hold at
+    least _CHUNK_FLOOR rows."""
+    batch = many_trees[1]
+    assert len(jd_mod._chunks(*jd_mod._incidence(batch)[0].shape)) == 4
+    got = joint_diagonalise(batch, tol=1e-2)
+    _one_chunk(monkeypatch)
+    want = joint_diagonalise(batch, tol=1e-2)
+    for field in ("avg_diag", "deviations", "off2_history"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert np.array_equal(got.basis.values, want.basis.values)
+    assert (got.converged, got.sweeps, got.polish_steps) == (want.converged, want.sweeps, want.polish_steps)
+
+
+@pytest.mark.parametrize("e, n", [(200, 20), (600, 35)])
+@pytest.mark.parametrize("rows", ["c-1", "c", "c+1", "2c+1"])
+def test_row_chunks_match_one_shot_products_bit_for_bit(rows, e, n):
+    """For M around the row-chunk size c = max(512, 2^18 // E) (1,310 and
+    512 here), the chunks tile the M rows, each of at least _CHUNK_FLOOR
+    rows once M allows it; the Gram of a 0/1 incidence equals the one-shot
+    float product, and the readout's diagonals and deviations equal a
+    one-shot readout, bit for bit."""
+    c = max(jd_mod._CHUNK_FLOOR, jd_mod._CHUNK_ENTRIES // e)
+    m_count = {"c-1": c - 1, "c": c, "c+1": c + 1, "2c+1": 2 * c + 1}[rows]
+    chunks = jd_mod._chunks(m_count, e)
+    assert [start for start, _ in chunks] == [0] + [stop for _, stop in chunks[:-1]]
+    assert chunks[-1][1] == m_count
+    sizes = [stop - start for start, stop in chunks]
+    assert min(sizes) >= min(m_count, jd_mod._CHUNK_FLOOR) and max(sizes) < max(c + 1, 2 * jd_mod._CHUNK_FLOOR)
+    assert (len(chunks) > 1) == (m_count >= 2 * jd_mod._CHUNK_FLOOR and m_count > c)
+
+    rng = derive_rng(32, "jd-chunks", e, m_count)
+    incidence = rng.random((m_count, e)) < 0.1
+    one_shot = incidence.astype(float)
+    assert np.array_equal(jd_mod._gram(incidence), one_shot.T @ one_shot)
+
+    flat = np.sort(rng.choice(np.flatnonzero(np.triu(np.ones((n, n), dtype=bool))), e, replace=False))
+    ends = np.divmod(flat, n)
+    coef = np.where(ends[0] == ends[1], 1.0, 2.0)
+    fro2 = np.einsum("ie,ie,e->i", incidence, incidence, coef)
+    u = _random_orthogonal(n, rng)
+    g = u[ends[0]]
+    g *= coef[:, None]
+    g *= u[ends[1]]
+    diags = one_shot @ g
+    deviations = np.clip(fro2 - (diags * diags).sum(axis=1), 0.0, fro2)
+    got_diags, got_deviations = jd_mod._sample_diagonals(incidence, ends, coef, fro2, u)
+    assert np.array_equal(got_diags, diags)
+    assert np.array_equal(got_deviations, deviations)
+
+
+def test_float_stack_moves_only_in_the_last_bits_with_the_row_chunks(monkeypatch):
+    """A Gram-side stack of general matrices (1,025 of them, E = 528, two
+    row chunks) is not 0/1: its chunked Gram sums rounded products in
+    another order than the one-shot product, so it may differ in the last
+    bits.  Held to 16 eps of |B|^T |B| entry by entry (measured 4.7 eps),
+    and the diagonalisation to 1e-13 of off2_0 in its history and 1e-12 in
+    its basis, deviations and average diagonal (measured 1e-15, 3e-14,
+    4e-15 and 3e-14)."""
+    stack = derive_rng(31, "jd-float-chunks").standard_normal((1025, 32, 32))
+    stack = stack + stack.transpose(0, 2, 1)
+    incidence = jd_mod._incidence(stack)[0]
+    assert incidence.shape == (1025, 528) and len(jd_mod._chunks(*incidence.shape)) == 2
+    gram = jd_mod._gram(incidence)
+    bound = np.abs(incidence).T @ np.abs(incidence)
+    assert np.all(np.abs(gram - incidence.T @ incidence) <= 16 * np.finfo(float).eps * bound)
+
+    got = joint_diagonalise(stack, tol=1e-2, max_sweeps=3)
+    _one_chunk(monkeypatch)
+    want = joint_diagonalise(stack, tol=1e-2, max_sweeps=3)
+    assert len(got.off2_history) == len(want.off2_history)
+    assert np.abs(got.off2_history - want.off2_history).max() <= 1e-13 * want.off2_history[0]
+    assert np.abs(got.basis.values - want.basis.values).max() <= 1e-12
+    fro2 = (stack * stack).sum(axis=(1, 2))
+    assert np.abs(got.deviations - want.deviations).max() <= 1e-12 * fro2.max()
+    assert np.abs(got.avg_diag - want.avg_diag).max() <= 1e-12 * np.abs(want.avg_diag).max()
+
+
+# ---------------------------------------------------------------------------
 # The trust-region finish: gradient, Hessian product, steps and curvature
 
 
