@@ -33,7 +33,10 @@ and Hessian products are read from two n^3 slices of sum_j C_j (x) C_j
 (see :func:`_second_order`).  A step is kept only if it lowers off2, so
 the history stays non-increasing.  Where the steps show a degenerate
 minimum, on which Newton steps would divide round-off by a vanishing
-curvature, the set goes back to its sweeps (see _LINEAR).
+curvature, the set goes back to its sweeps (see _LINEAR).  A set that
+meets a stopping rule at a stationary point is tested for a saddle, the
+Hessian's leftmost curvature read by Lanczos steps on the same products,
+and steps off one along it (see :meth:`_SweepSet.settle`).
 
 :func:`joint_diagonalise_sets` sweeps several sets of one size in one
 loop (the per-mode diagonalisations of a decomposition): each set keeps
@@ -55,6 +58,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .network import SymMatrix
+from .seeds import derive_rng
 
 # Rotations whose predicted off2 decrease falls below _GAIN_GUARD times the
 # current total off2, or below eps^2 times the inputs' summed squared norm,
@@ -91,6 +95,25 @@ _MAX_RADIUS = math.pi / 2.0
 # takes BLAS's matrix-vector path).
 _CHUNK_ENTRIES = 2**18
 _CHUNK_FLOOR = 512
+# A set that meets a stopping rule can sit at a saddle of off2, where no
+# Givens rotation and no Newton step gains but a mixed rotation does (the
+# sweeps stopped at one whose Hessian's smallest eigenvalue was -0.0032
+# times its largest; 5 of 3,000 small tree batches at tol 1e-12 stopped
+# at a saddle).  Where the step that met the rule gained less than
+# _STATIONARY times the initial off2, always so at tol <= 1.5e-8, the
+# stop is a stationary point and its curvature is checked (see
+# :meth:`_SweepSet.settle`); a looser tol stops a set mid-descent, where
+# the curvature says nothing of the point the sweeps head for.  The
+# leftmost curvature is read from at most _LANCZOS_STEPS Lanczos steps
+# (see :func:`_leftmost`), which span the whole skew space up to n = 11.
+_STATIONARY = math.sqrt(np.finfo(float).eps)
+_LANCZOS_STEPS = 56
+# A pair whose off-diagonal outweighs its diagonal (ton < 0) and whose
+# coupling toff is below _QUARTER times r is turned by exactly +pi/4: its
+# optimal angles are +-pi/4 to within toff / 4|ton|, and a toff of
+# round-off would pick the sign (a step off a saddle can leave such pairs,
+# whose signs then sent two implementations to different minima).
+_QUARTER = math.sqrt(np.finfo(float).eps)
 
 
 class OrthoBasis:
@@ -135,7 +158,8 @@ class JdResult:
     the shared basis, and ``off2_history`` the total off2 before any
     sweep, after the warm start when it was adopted, after each sweep that
     rotated and after each kept trust-region step.  ``sweeps`` counts the
-    Jacobi sweeps run and ``polish_steps`` the kept trust-region steps.
+    Jacobi sweeps run and ``polish_steps`` the kept trust-region steps,
+    steps off a saddle included.
     """
 
     basis: OrthoBasis
@@ -463,6 +487,40 @@ def _truncated_cg(g, hessian: tuple, radius: float) -> tuple[np.ndarray, np.ndar
     return x, hx, False
 
 
+def _leftmost(hessian: tuple, n: int) -> tuple[float, np.ndarray]:
+    """The smallest Ritz value of the Hessian over skew n x n matrices and
+    its Ritz vector V (unit Frobenius norm), by Rayleigh-Ritz on the
+    Krylov space of at most _LANCZOS_STEPS Lanczos steps, each new vector
+    orthogonalised twice against all before it.
+
+    The start S is the skew part of a fixed standard normal draw, so that
+    no symmetry of the inputs hides a direction from it, and V is signed
+    so that <V, S> >= 0.  The Ritz value is the curvature <V, H[V]> of V
+    itself, never below the smallest eigenvalue; once the steps span the
+    n (n - 1) / 2 dimensions, or an invariant subspace, it is that
+    eigenvalue.
+    """
+    q = np.empty((min(_LANCZOS_STEPS, n * (n - 1) // 2), n, n))
+    projected = np.zeros((len(q), len(q)))  # upper triangle of Q^T H Q
+    start = derive_rng(0, "jd-lanczos", n).standard_normal((n, n))
+    v = start - start.T
+    k = 0
+    while k < len(q):
+        q[k] = v / math.sqrt(float(np.vdot(v, v)))
+        hv = _hessian_product(q[k], *hessian)
+        projected[: k + 1, k] = np.tensordot(q[: k + 1], hv, axes=2)
+        k += 1
+        v = hv
+        for _ in range(2):
+            v = v - np.tensordot(np.tensordot(q[:k], v, axes=2), q[:k], axes=1)
+        # the vectors so far span an invariant subspace
+        if not float(np.vdot(v, v)) > 1e-20 * float(np.vdot(hv, hv)):
+            break
+    theta, y = np.linalg.eigh(projected[:k, :k], UPLO="U")
+    # q[0] is S / ||S||, so y[0] carries the sign of <V, S>
+    return float(theta[0]), math.copysign(1.0, y[0, 0]) * np.tensordot(y[:, 0], q[:k], axes=1)
+
+
 def _expm_skew(x) -> np.ndarray:
     """e^X of a real skew matrix: iX is Hermitian, so with iX = V diag(w)
     V^H, e^X = V diag(e^{-iw}) V^H, orthogonal to round-off."""
@@ -578,6 +636,8 @@ class _SweepSet:
         self.converged = False
         self.sweeps = 0
         self.polish_steps = 0
+        # the last history entry is a step off a saddle
+        self.left_saddle = False
         self.basis = np.eye(self.n)
 
         # Warm start in the eigenbasis of the mean matrix: for near-commuting
@@ -606,20 +666,21 @@ class _SweepSet:
         True once the set stops.  A sweep that fails the tol rule but
         gains at least _CRAWL times the previous sweep's gain hands the set
         to :meth:`polish`, which finishes it or, at a degenerate minimum,
-        hands it back to the sweeps."""
+        hands it back to the sweeps.  A set that meets a stopping rule
+        stops only if :meth:`settle` finds no saddle to leave."""
         self.basis = u
         self.sweeps += 1
         if rotations == 0:
-            self.converged = True
-            return True
+            return self.settle(0.0, tol, max_sweeps)
         _check_orthogonal(u)
         current = _off2_total(self.weights, self.ends, u)
         self.history.append(current)
         gain = self.history[-2] - current
-        self.converged = gain < tol * self.history[0]
-        if self.converged:
-            return True
-        crawling = self.sweeps >= 2 and gain >= _CRAWL * (self.history[-3] - self.history[-2])
+        if gain < tol * self.history[0]:
+            return self.settle(gain, tol, max_sweeps)
+        # a step off a saddle gains little against the sweeps that follow it
+        crawling = self.sweeps >= 2 and not self.left_saddle and gain >= _CRAWL * (self.history[-3] - self.history[-2])
+        self.left_saddle = False
         if crawling and self.polish(tol, max_sweeps):
             return True
         return self.sweeps + self.polish_steps >= max_sweeps
@@ -631,10 +692,11 @@ class _SweepSet:
         once the set stops.
 
         A step is kept only if it lowers off2; a kept step adds a history
-        entry and counts against ``max_sweeps``.  The set converges at
-        the first kept step that the region did not truncate and that
-        gains less than ``tol`` times the initial off2, the sweeps' own
-        rule, or when no step can predict a gain above the guard.  Three
+        entry and counts against ``max_sweeps``.  The set meets its
+        stopping rule at the first kept step that the region did not
+        truncate and that gains less than ``tol`` times the initial off2,
+        the sweeps' own rule, or when no step can predict a gain above
+        the guard, and :meth:`settle` then stops it.  Three
         untruncated kept steps in a row, each gaining at least _LINEAR
         of the one before, mark a degenerate minimum: False, and the set
         goes back to its sweeps.
@@ -650,7 +712,7 @@ class _SweepSet:
             if not math.isfinite(predicted):
                 raise ConvergenceError("trust-region model went non-finite during joint diagonalisation")
             if predicted <= self.guard():
-                self.converged = True
+                gain = 0.0
                 break
             trial = u @ _expm_skew(x)
             f_trial, g_trial, hessian_trial = _second_order(self.weights, self.ends, trial)
@@ -669,15 +731,66 @@ class _SweepSet:
             gain = f - f_trial
             u, f, g, hessian = trial, f_trial, g_trial, hessian_trial
             if not truncated and gain < tol * self.history[0]:
-                self.converged = True
                 break
             slow = slow + 1 if newton_gain is not None and not truncated and gain >= _LINEAR * newton_gain else 0
             if slow == 2:
                 self.basis = u
                 return False
             newton_gain = None if truncated else gain
+        else:
+            self.basis = u
+            return True
         self.basis = u
-        return True
+        return self.settle(gain, tol, max_sweeps, g, hessian)
+
+    def settle(self, gain: float, tol: float, max_sweeps: int, g=None, hessian=None) -> bool:
+        """Stop the set at its basis, where a step that gained ``gain`` met
+        a stopping rule, unless it sits at a saddle: True once the set
+        stops, False after a kept step off the saddle, when the set goes
+        back to its sweeps.
+
+        Only a stop whose gain lies below _STATIONARY times the initial
+        off2 is tested.  The test reads the leftmost curvature lam and
+        direction V of the Hessian at the basis (:func:`_leftmost`; ``g``
+        and ``hessian`` come from :func:`_second_order` there, computed if
+        not given).  A step U e^{tV} is predicted to gain -<G, tV> - lam
+        t^2 / 2.  From t = +-r, r the trust region's first radius, and
+        then by quarter radii, the set tries the t whose predicted gain
+        reaches tol times the initial off2, the gain the tol rule asks of
+        a sweep, +r before -r, until one lowers off2 (kept as a
+        trust-region step) or none is predicted to gain that much.  At a
+        saddle the gradient is round-off, so the sign of V, fixed by
+        :func:`_leftmost`, picks between mirror-image minima.  A saddle
+        that the budget leaves no step for stops the set unconverged.
+        """
+        self.converged = True
+        if self.n < 2 or not gain < _STATIONARY * self.history[0]:
+            return True
+        if hessian is None:
+            _, g, hessian = _second_order(self.weights, self.ends, self.basis)
+        lam, v = _leftmost(hessian, self.n)
+        slope = float(np.vdot(g, v))
+        floor = max(tol * self.history[0], self.guard())
+        radius = _MAX_RADIUS / 8.0
+        while True:
+            steps = [t for t in (radius, -radius) if -t * slope - 0.5 * lam * t * t >= floor]
+            if not steps:
+                return True
+            if self.sweeps + self.polish_steps >= max_sweeps:
+                self.converged = False
+                return True
+            for t in steps:
+                trial = self.basis @ _expm_skew(t * v)
+                f_trial = _off2_total(self.weights, self.ends, trial)
+                if f_trial < self.history[-1]:
+                    _check_orthogonal(trial)
+                    self.basis = trial
+                    self.history.append(f_trial)
+                    self.polish_steps += 1
+                    self.converged = False
+                    self.left_saddle = True
+                    return self.sweeps + self.polish_steps >= max_sweeps
+            radius /= 4.0
 
     def result(self) -> JdResult:
         diags, deviations = _sample_diagonals(self.rows, self.ends, self.coef, self.fro2, self.basis)
@@ -727,7 +840,9 @@ def joint_diagonalise(
         steps, and it converges at the first kept step that the trust
         region did not truncate and that gains less than ``tol`` times
         the initial off2.  Where those steps find a degenerate minimum
-        the set goes back to sweeping.
+        the set goes back to sweeping, and so does a set that stops at a
+        saddle of off2 (a stop that gained less than 1.5e-8 times the
+        initial off2 is tested), after one step off it.
     max_sweeps : limit on the sweeps and kept trust-region steps
         together; reaching it first returns ``converged=False``.
 
@@ -790,8 +905,8 @@ def joint_diagonalise_sets(
             # off2 decreases by (r - ton) / 4 under the optimal angle
             active = (r - ton) / 4.0 > guard
             theta = 0.5 * np.arctan2(toff, ton + r)
-            # degenerate branch point (equal diagonals): quarter turn
-            theta[(toff == 0.0) & (ton + r <= 0.0)] = math.pi / 4.0
+            # the branch point, a quarter turn of either sign (see _QUARTER)
+            theta[(np.abs(toff) <= _QUARTER * r) & (ton < 0.0)] = math.pi / 4.0
             theta[~active] = 0.0
             # a round pairs every index at most once, so its rotations
             # commute and apply together

@@ -20,6 +20,8 @@ from contactmodes.jointdiag import (
     _GAIN_GUARD,
     _LINEAR,
     _MAX_RADIUS,
+    _QUARTER,
+    _STATIONARY,
     JdResult,
     OrthoBasis,
     _round_layouts,
@@ -146,11 +148,68 @@ def _reference_tcg(c, g, radius):
     return x, float(decrease), truncated
 
 
-def _reference_polish(stack, u, history, tol, steps_left, round_off):
+def reference_hessian(c) -> np.ndarray:
+    """The Hessian of off2 at the rotated stack ``c`` on the coordinates
+    X[p, q], p < q, of a skew X, one commutator product per generator
+    e_p e_q^T - e_q e_p^T; its eigenvalues are the curvatures <X, H[X]> /
+    ||X||^2 of its eigenvectors."""
+    n = c.shape[1]
+    rows, cols = np.triu_indices(n, 1)
+    dense = np.empty((len(rows), len(rows)))
+    for b, (p, q) in enumerate(zip(rows, cols)):
+        e = np.zeros((n, n))
+        e[p, q], e[q, p] = 1.0, -1.0
+        dense[:, b] = reference_hessian_product(c, e)[rows, cols]
+    return (dense + dense.T) / 2.0
+
+
+def _reference_settle(stack, u, c, history, escapes, gain, tol, steps_left, round_off, steps=0):
+    """Stop at ``u``, where a step gaining ``gain`` met a stopping rule,
+    unless that gain lies below _STATIONARY times the initial off2 and
+    ``u`` is a saddle.  V is the Hessian's leftmost eigenvector (unit
+    Frobenius norm), signed to a nonnegative inner product with the skew
+    part S of derive_rng(0, "jd-lanczos", n).standard_normal((n, n));
+    from t = +-_MAX_RADIUS / 8 down by quarters, U expm(t V) is tried,
+    +t first, wherever -<G, tV> - lam t^2 / 2 reaches tol times the
+    initial off2, and the first that lowers off2 is kept, its history
+    index appended to ``escapes``: (u, rotated stack, kept steps,
+    converged, stopped), ``steps`` counting those taken before."""
+    n = c.shape[1]
+    if n < 2 or not gain < _STATIONARY * history[0]:
+        return u, c, steps, True, True
+    lam, vecs = np.linalg.eigh(reference_hessian(c))
+    v = np.zeros((n, n))
+    v[np.triu_indices(n, 1)] = vecs[:, 0]
+    v = (v - v.T) / np.sqrt(2.0)
+    start = derive_rng(0, "jd-lanczos", n).standard_normal((n, n))
+    if np.sum(v * (start - start.T)) < 0.0:
+        v = -v
+    slope = np.sum(reference_gradient(c) * v)
+    floor = max(tol * history[0], _GAIN_GUARD * max(history[-1], np.finfo(float).tiny), round_off)
+    radius = _MAX_RADIUS / 8.0
+    while True:
+        tries = [t for t in (radius, -radius) if -t * slope - 0.5 * lam[0] * t**2 >= floor]
+        if not tries:
+            return u, c, steps, True, True
+        if steps_left <= 0:
+            return u, c, steps, False, True
+        for t in tries:
+            trial = u @ scipy.linalg.expm(t * v)
+            c_trial = _reference_rotated(stack, trial)
+            f_trial = float(_reference_off2(c_trial).sum())
+            if f_trial < history[-1]:
+                history.append(f_trial)
+                escapes.append(len(history) - 1)
+                return trial, c_trial, steps + 1, False, steps_left <= 1
+        radius /= 4.0
+
+
+def _reference_polish(stack, u, history, escapes, tol, steps_left, round_off):
     """Trust-region steps U <- U expm(X) from ``u``, each kept only if off2
     falls, with the stopping rules of the sweeps; three untruncated kept
     steps in a row, each gaining at least _LINEAR of the one before, hand
-    the set back to the sweeps: (u, rotated stack, kept steps, converged,
+    the set back to the sweeps, and a stop that :func:`_reference_settle`
+    finds at a saddle does too: (u, rotated stack, kept steps, converged,
     stopped)."""
     c = _reference_rotated(stack, u)
     f = history[-1]
@@ -161,7 +220,7 @@ def _reference_polish(stack, u, history, tol, steps_left, round_off):
     while steps < steps_left:
         x, decrease, truncated = _reference_tcg(c, reference_gradient(c), radius)
         if decrease <= max(_GAIN_GUARD * max(f, np.finfo(float).tiny), round_off):
-            return u, c, steps, True, True
+            return _reference_settle(stack, u, c, history, escapes, 0.0, tol, steps_left - steps, round_off, steps)
         trial = u @ scipy.linalg.expm(x)
         c_trial = _reference_rotated(stack, trial)
         f_trial = float(_reference_off2(c_trial).sum())
@@ -175,7 +234,7 @@ def _reference_polish(stack, u, history, tol, steps_left, round_off):
             history.append(f_trial)
             gain, u, c, f = f - f_trial, trial, c_trial, f_trial
             if not truncated and gain < tol * history[0]:
-                return u, c, steps, True, True
+                return _reference_settle(stack, u, c, history, escapes, gain, tol, steps_left - steps, round_off, steps)
             slow = slow + 1 if newton_gain is not None and not truncated and gain >= _LINEAR * newton_gain else 0
             if slow == 2:
                 return u, c, steps, False, False
@@ -189,7 +248,9 @@ def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100)
     disjoint rotations and stopping rule, and each sample's diagonal and
     off2 read back from the rotated stack rather than from coordinates.
     A set that crawls is finished by trust-region steps whose gradient
-    and Hessian products are read from the rotated stack."""
+    and Hessian products are read from the rotated stack, and a set that
+    meets a stopping rule at a saddle steps off it along the dense
+    Hessian's leftmost eigenvector."""
     stack = np.array(stack, dtype=float)
     c = stack.copy()
     n = c.shape[1]
@@ -214,6 +275,7 @@ def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100)
     rounds = [(order[0:paired:2], order[1:paired:2]) for order in _round_layouts(n)[0]]
     converged = False
     sweeps = polish_steps = 0
+    escapes = []  # history indices of steps off a saddle
     while sweeps + polish_steps < max_sweeps:
         sweeps += 1
         rotations = 0
@@ -231,7 +293,7 @@ def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100)
             if not active.any():
                 continue
             theta = 0.5 * np.arctan2(toff, ton + r)
-            theta[(toff == 0.0) & (ton + r <= 0.0)] = math.pi / 4.0
+            theta[(np.abs(toff) <= _QUARTER * r) & (ton < 0.0)] = math.pi / 4.0
             theta[~active] = 0.0
             # row p becomes cos * row p + sin * row q, row q becomes
             # cos * row q - sin * row p; then the same on the columns
@@ -246,16 +308,23 @@ def reference_joint_diagonalise(stack, tol: float = 1e-9, max_sweeps: int = 100)
             c = cos_f[None, None, :] * c + sin_f[None, None, :] * c[:, :, partner]
             u = cos_f[None, :] * u + sin_f[None, :] * u[:, partner]
             rotations += int(active.sum())
-        if rotations == 0:
-            converged = True
-            break
-        history.append(float(_reference_off2(c).sum()))
-        if history[-2] - history[-1] < tol * initial:
-            converged = True
-            break
-        if sweeps >= 2 and history[-2] - history[-1] >= _CRAWL * (history[-3] - history[-2]):
+        if rotations > 0:
+            history.append(float(_reference_off2(c).sum()))
+        gain = history[-2] - history[-1] if rotations > 0 else 0.0
+        if rotations == 0 or gain < tol * initial:
+            u, c, steps, converged, stopped = _reference_settle(
+                stack, u, c, history, escapes, gain, tol, max_sweeps - sweeps - polish_steps, round_off
+            )
+            polish_steps += steps
+            if stopped:
+                break
+            c = np.ascontiguousarray(c)
+            continue
+        # a sweep after a step off a saddle is not compared with that step
+        crawling = sweeps >= 2 and len(history) - 2 not in escapes
+        if crawling and history[-2] - history[-1] >= _CRAWL * (history[-3] - history[-2]):
             u, c, steps, converged, stopped = _reference_polish(
-                stack, u, history, tol, max_sweeps - sweeps - polish_steps, round_off
+                stack, u, history, escapes, tol, max_sweeps - sweeps - polish_steps, round_off
             )
             polish_steps += steps
             if stopped:

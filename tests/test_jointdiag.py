@@ -34,6 +34,7 @@ from oracles import (
     brute_off2,
     brute_project,
     reference_gradient,
+    reference_hessian,
     reference_hessian_product,
     reference_joint_diagonalise,
 )
@@ -517,6 +518,18 @@ def _assert_matches_dense(batch, in_tree_order=True, drawn=False):
 @example(SampleBatch((TreeSample(root=3, start_time=0.0, parent={1: 3}, partial=True),
                       TreeSample(root=1, start_time=0.0, parent={0: 1, 2: 1, 5: 1}, partial=True)),
                      n_nodes=7, seed=0))
+# a saddle: two edges at node 0 stop the sweeps at off2 2.0; after the step
+# off it the next sweep gains 0.51 against the step's 0.037, which is no
+# crawl (trust-region steps there left the two 5e-8 apart in avg_diag)
+@example(SampleBatch((TreeSample(root=0, start_time=0.0, parent={3: 0}, partial=True),
+                      TreeSample(root=0, start_time=0.0, parent={2: 0}, partial=True)),
+                     n_nodes=5, seed=0))
+# a saddle: after the step off it a pair's optimal turn is +-pi/4 with a
+# coupling of round-off, whose sign sent the library and the oracle to
+# minima of the same off2 0.26 apart in avg_diag
+@example(SampleBatch((TreeSample(root=0, start_time=0.0, parent={3: 0, 2: 0}, partial=True),)
+                     + (TreeSample(root=0, start_time=0.0, parent={1: 0}, partial=True),) * 2,
+                     n_nodes=4, seed=0))
 @settings(max_examples=150, deadline=None)
 def test_jd_gram_path_matches_dense(batch):
     """On drawn batches the history, avg_diag and the summed deviations
@@ -847,18 +860,20 @@ def _hessian_spectrum(matrices, basis):
     """Eigenvalues of the Hessian of the total off2 at the basis, built
     column by column from the oracle's commutator products on the
     generators e_p e_q^T - e_q e_p^T, p < q."""
-    c = np.einsum("ki,mkl,lj->mij", basis, matrices, basis)
-    n = len(basis)
-    rows, cols = np.triu_indices(n, 1)
-    dense = np.empty((len(rows), len(rows)))
-    for b, (p, q) in enumerate(zip(rows, cols)):
-        e = np.zeros((n, n))
-        e[p, q], e[q, p] = 1.0, -1.0
-        dense[:, b] = reference_hessian_product(c, e)[rows, cols]
-    return np.linalg.eigvalsh((dense + dense.T) / 2.0)
+    return np.linalg.eigvalsh(reference_hessian(np.einsum("ki,mkl,lj->mij", basis, matrices, basis)))
+
+
+def _saddle_batch():
+    """A path 1-0-3 with 2 hung from 1 and the lone edge 0-3: the sweeps
+    stop at off2 1.1716 with no rotation left to gain, where the Hessian's
+    smallest eigenvalue is -0.073 against a largest of 22.7."""
+    path = TreeSample(root=0, start_time=0.0, parent={1: 0, 2: 1, 3: 0})
+    edge = TreeSample(root=0, start_time=0.0, parent={3: 0}, partial=True)
+    return SampleBatch((path, edge), n_nodes=4, seed=0)
 
 
 @given(_tree_batches(max_nodes=8))
+@example(_saddle_batch())
 @settings(max_examples=100, deadline=None)
 def test_converged_basis_is_no_saddle(batch):
     """At tol 1e-12 a diagonalisation that reports convergence stops at a
@@ -869,6 +884,50 @@ def test_converged_basis_is_no_saddle(batch):
         return
     lam = _hessian_spectrum(batch.matrices(), res.basis.values)
     assert lam[0] >= -1e-8 * max(lam[-1], 1e-12 * res.off2_history[0]), (lam[0], lam[-1])
+
+
+def test_a_saddle_the_sweeps_stop_at_is_left_along_its_negative_curvature():
+    """On the saddle batch the second sweep rotates nothing.  The set then
+    steps off along the Hessian's leftmost eigenvector, a kept step that
+    lowers off2, and sweeps on to a minimum; the oracle, which reads that
+    eigenvector from the dense Hessian, takes the same steps."""
+    batch = _saddle_batch()
+    got = joint_diagonalise(batch)
+    stuck = joint_diagonalise(batch, max_sweeps=2)
+    assert not stuck.converged and stuck.sweeps == 2 and stuck.polish_steps == 0
+    assert got.converged and got.polish_steps > 0
+    assert got.off2_history[3] < stuck.off2_history[-1] == got.off2_history[2]
+    # the warm start's entry, none for the sweep that rotated nothing
+    assert len(got.off2_history) == 1 + got.sweeps + got.polish_steps
+    assert np.linalg.eigvalsh(reference_hessian(np.einsum(
+        "ki,mkl,lj->mij", got.basis.values, batch.matrices(), got.basis.values)))[0] > 0.0
+    want = reference_joint_diagonalise(batch.matrices())
+    assert (got.sweeps, got.polish_steps, got.converged) == (want.sweeps, want.polish_steps, want.converged)
+    assert np.abs(got.off2_history - want.off2_history).max() <= 1e-12 * got.off2_history[0]
+    assert np.abs(got.avg_diag - want.avg_diag).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 11, 12, 20])
+def test_leftmost_curvature_matches_the_dense_hessian(n):
+    """_leftmost's Ritz pair at a random basis: the Ritz vector is a unit
+    skew matrix whose curvature is the Ritz value, and that is the dense
+    Hessian's smallest eigenvalue once the Lanczos steps span the skew
+    space (n <= 11) and never lies below it."""
+    rng = derive_rng(33, "jd-leftmost", n)
+    stack = rng.standard_normal((6, n, n))
+    stack = stack + stack.transpose(0, 2, 1)
+    u = _random_orthogonal(n, rng)
+    weights, ends, _, _ = _sweep_set(stack)
+    hessian = jd_mod._second_order(weights, ends, u)[2]
+    lam, v = jd_mod._leftmost(hessian, n)
+    assert np.abs(v + v.T).max() <= 1e-15 and abs(float(np.vdot(v, v)) - 1.0) <= 1e-12
+    assert abs(float(np.vdot(v, jd_mod._hessian_product(v, *hessian))) - lam) <= 1e-10 * abs(lam)
+    dense = np.linalg.eigvalsh(reference_hessian(np.einsum("ki,mkl,lj->mij", u, _sweep_stack(stack), u)))
+    scale = np.abs(dense).max()
+    if n * (n - 1) // 2 <= jd_mod._LANCZOS_STEPS:
+        assert abs(lam - dense[0]) <= 1e-10 * scale
+    else:
+        assert lam >= dense[0] - 1e-10 * scale
 
 
 def test_degenerate_minimum_goes_back_to_the_sweeps():
