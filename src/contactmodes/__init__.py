@@ -47,7 +47,6 @@ from .jointdiag import (
     OrthoBasis,
     eig_sym,
     joint_diagonalise,
-    joint_diagonalise_sets,
     off2,
     project,
     reconstruct_average,
@@ -139,7 +138,6 @@ __all__ = [
     "graph_to_dot",
     "ingest_trace",
     "joint_diagonalise",
-    "joint_diagonalise_sets",
     "kde_density",
     "mode_time_histogram",
     "off2",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +48,13 @@ class SirParams:
             raise ValueError("p_transmit must lie in [0, 1]")
         if not self.recovery_mean > 0:
             raise ValueError("recovery_mean must be positive")
+        for name in ("start_step", "horizon"):
+            value = getattr(self, name)
+            # a bool, fractional or non-finite step would be truncated or
+            # fail deep inside the simulation's integer arrays
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+                raise ValueError(f"{name} must be a whole number of steps, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.start_step < 0:
             raise ValueError("start_step must be nonnegative")
         if self.horizon < 1:

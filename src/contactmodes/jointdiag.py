@@ -37,13 +37,6 @@ curvature, the set goes back to its sweeps (see _LINEAR).  A set that
 meets a stopping rule at a stationary point is tested for a saddle, the
 Hessian's leftmost curvature read by Lanczos steps on the same products,
 and steps off one along it (see :meth:`_SweepSet.settle`).
-
-:func:`joint_diagonalise_sets` sweeps several sets of one size in one
-loop (the per-mode diagonalisations of a decomposition): each set keeps
-its own coordinates, product, guard, history and stopping test, while a
-round's angle math and rotation run once for all of them; a set that
-crawls takes its trust-region steps alone, and one handed back rejoins
-the loop.
 """
 
 from __future__ import annotations
@@ -52,7 +45,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -551,11 +543,11 @@ def _angle_sums(weights, ends, coef, z) -> np.ndarray:
 
 
 def _rotate(z, theta) -> None:
-    """Turn the pairs of one round in place: the complex view z = U[:, p] +
-    i U[:, q] (shape (..., n, k)) times e^{-i theta} (theta of shape
-    (..., k)) sets columns p and q to the Givens update cos P + sin Q and
-    cos Q - sin P."""
-    z *= np.exp(-1j * theta)[..., None, :]
+    """Turn the k pairs of one round in place: the complex view z = U[:, p]
+    + i U[:, q] (shape (n, k)) times e^{-i theta} (theta of shape (k,))
+    sets columns p and q to the Givens update cos P + sin Q and cos Q -
+    sin P."""
+    z *= np.exp(-1j * theta)
 
 
 def _sample_diagonals(rows, ends, coef, fro2, u) -> tuple[np.ndarray, np.ndarray]:
@@ -609,9 +601,9 @@ def _check_orthogonal(u) -> None:
 
 
 class _SweepSet:
-    """One input set of :func:`joint_diagonalise_sets`: its coordinates and
-    sweep weights, its basis in natural column order, and its own gain
-    guard, off2 history and stopping test."""
+    """The input set of :func:`joint_diagonalise`: its coordinates and
+    sweep weights, its basis in natural column order, and its gain guard,
+    off2 history and stopping test."""
 
     def __init__(self, matrices):
         incidence, self.ends, self.coef, self.n = _incidence(matrices)
@@ -827,8 +819,7 @@ def joint_diagonalise(
     SampleBatch and its ``matrices()`` give the same result bit for bit.
     (Where a node symmetry of the inputs swaps them, the objective has
     mirror-image minimisers and round-off picks one, so only the multiset
-    of deviations is determined.)  This is :func:`joint_diagonalise_sets`
-    of the one set.
+    of deviations is determined.)
 
     Parameters
     ----------
@@ -851,52 +842,26 @@ def joint_diagonalise(
     JdResult with columns of the basis ordered by decreasing average
     projected diagonal and signed so every column sums nonnegative.
     """
-    return joint_diagonalise_sets([matrices], tol=tol, max_sweeps=max_sweeps)[0]
-
-
-def joint_diagonalise_sets(
-    sources: Sequence,
-    tol: float = 1e-9,
-    max_sweeps: int = 100,
-) -> list[JdResult]:
-    """Diagonalise each of several sets of n x n symmetric matrices jointly
-    within itself, in one sweep loop; one :class:`JdResult` per set, in
-    order.
-
-    The sets share only the round schedule.  Each keeps its own
-    coordinates, sweep weights, gain guard, off2 history and stopping
-    test, and its own product at its own size; a round's angle math and
-    rotation run once for all sets, and a set leaves the loop when it
-    stops; a set that crawls takes its own trust-region steps between
-    two sweeps, and rejoins the loop if they hand it back.
-    Every per-set operation is the one a lone run makes, so each result
-    equals :func:`joint_diagonalise` of its set bit for bit.  The
-    sets must all have the same n; ``tol`` and ``max_sweeps`` are as for
-    :func:`joint_diagonalise`.
-    """
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     if not max_sweeps >= 0:
         raise ValueError("max_sweeps must be nonnegative")
-    sets = [_SweepSet(x) for x in sources]
-    if len({s.n for s in sets}) > 1:
-        raise ValueError("all sets must hold matrices of the same size")
-    if not sets:
-        return []
-    n = sets[0].n
+    state = _SweepSet(matrices)
+    n = state.n
     orders, steps = _round_layouts(n)
     natural = np.argsort(orders[0])
-    # every set's basis in the current round's column order
-    u = np.take(np.stack([s.basis for s in sets]), orders[0], axis=2)
-    live = sets if max_sweeps > 0 else []
-    while live:
-        guard = np.array([[s.guard()] for s in live])
-        rotations = np.zeros(len(live), dtype=int)
+    stopped = max_sweeps == 0
+    while not stopped:
+        guard = state.guard()
+        rotations = 0
+        # the basis in the current round's column order, taken afresh
+        # because trust-region steps may have moved it since the last sweep
+        u = np.take(state.basis, orders[0], axis=1)
         for step in steps:
-            z = u[:, :, : n - n % 2].view(complex)
-            sums = np.stack([_angle_sums(s.weights, s.ends, s.coef, zs) for s, zs in zip(live, z)])
-            ton = sums[..., 0, 0] - sums[..., 1, 1]
-            toff = 2.0 * sums[..., 0, 1]
+            z = u[:, : n - n % 2].view(complex)
+            sums = _angle_sums(state.weights, state.ends, state.coef, z)
+            ton = sums[:, 0, 0] - sums[:, 1, 1]
+            toff = 2.0 * sums[:, 0, 1]
             r = np.hypot(ton, toff)
             # r is non-finite whenever an angle sum is; such a round would
             # otherwise look inactive and end the sweeps as converged
@@ -911,19 +876,10 @@ def joint_diagonalise_sets(
             # a round pairs every index at most once, so its rotations
             # commute and apply together
             _rotate(z, theta)
-            rotations += active.sum(axis=1)
-            u = np.take(u, step, axis=2)
-        going = np.array(
-            [
-                not s.end_sweep(np.take(us, natural, axis=1), int(c), tol, max_sweeps)
-                for s, us, c in zip(live, u, rotations)
-            ]
-        )
-        live = [s for s, g in zip(live, going) if g]
-        if live:
-            # a set that left the trust region resumes from its basis
-            u = np.take(np.stack([s.basis for s in live]), orders[0], axis=2)
-    return [s.result() for s in sets]
+            rotations += int(active.sum())
+            u = np.take(u, step, axis=1)
+        stopped = state.end_sweep(np.take(u, natural, axis=1), rotations, tol, max_sweeps)
+    return state.result()
 
 
 def reconstruct_average(result: JdResult, force: bool = False) -> SymMatrix:

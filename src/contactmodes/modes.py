@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DataError
-from .jointdiag import JdResult, joint_diagonalise, joint_diagonalise_sets, reconstruct_average
+from .jointdiag import JdResult, joint_diagonalise, reconstruct_average
 from .network import SymMatrix
 from .sampling import SampleBatch
 from .seeds import derive_rng, derive_seed_sequence
@@ -473,13 +473,13 @@ def per_mode_reconstruction(
     """Rebuild the average graph independently for every mode.
 
     Each nonempty mode's member matrices get their own joint
-    diagonalisation and reconstruction, all in one call of
-    :func:`joint_diagonalise_sets`, except that a mode holding the whole
-    batch reuses ``overall``, the whole-batch diagonalisation; a
-    single-sample mode keeps its lone matrix and is flagged.  Empty modes
-    are dropped with a warning.  When a mode's diagonalisation does not
-    converge, :class:`ConvergenceError` names the lowest such mode, with
-    ``overall`` as ``result``.
+    diagonalisation and reconstruction, in mode order, except that a mode
+    holding the whole batch reuses ``overall``, the whole-batch
+    diagonalisation; a single-sample mode keeps its lone matrix and is
+    flagged.  Empty modes are dropped with a warning.  The first mode
+    whose diagonalisation does not converge raises
+    :class:`ConvergenceError` naming it, with ``overall`` as ``result``;
+    later modes are not diagonalised.
     """
     if model.n_samples != len(batch.samples):
         raise ValueError("model was fitted on a different number of samples than the batch holds")
@@ -487,13 +487,9 @@ def per_mode_reconstruction(
         raise ValueError("precomputed overall result does not match the batch")
     overall_matrix = reconstruct_average(overall)
 
-    members = [model.members(j) for j in range(model.k)]
-    # one sweep loop for every mode that needs its own diagonalisation,
-    # its results taken in mode order below
-    swept = [batch.subset(mode) for mode in members if 1 < len(mode) < len(batch.samples)]
-    results = iter(joint_diagonalise_sets(swept, tol=tol, max_sweeps=max_sweeps))
     summaries = []
-    for j, mode in enumerate(members):
+    for j in range(model.k):
+        mode = model.members(j)
         if len(mode) == 0:
             warnings.warn(f"mode {j} is empty and was dropped", stacklevel=2)
             continue
@@ -504,7 +500,7 @@ def per_mode_reconstruction(
         if len(mode) == len(batch.samples):
             sub, matrix = overall, overall_matrix
         else:
-            sub = next(results)
+            sub = joint_diagonalise(batch.subset(mode), tol=tol, max_sweeps=max_sweeps)
             if not sub.converged:
                 raise ConvergenceError(f"joint diagonalisation of mode {j} did not converge", result=overall)
             matrix = reconstruct_average(sub)

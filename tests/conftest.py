@@ -1,10 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
-import contactmodes
 from contactmodes import StaticGraph
 from contactmodes import jointdiag as jd_mod
-from contactmodes import modes as modes_mod
 
 # Every off2 history observed during the suite; the acceptance module
 # asserts over this as well, but the guard below already fails any run
@@ -14,25 +14,24 @@ JD_HISTORIES = []
 
 @pytest.fixture(scope="session", autouse=True)
 def _jd_monotonicity_guard():
-    # joint_diagonalise is the one-set call of joint_diagonalise_sets, so
-    # wrapping the shared loop sees every diagonalisation, per-mode ones
-    # included, one history per set
-    original = jd_mod.joint_diagonalise_sets
+    # every module that holds joint_diagonalise gets the wrapper, the test
+    # modules that imported it by name before this fixture ran included,
+    # so every diagonalisation of the suite is seen, one history each
+    original = jd_mod.joint_diagonalise
 
     def checked(*args, **kwargs):
-        results = original(*args, **kwargs)
-        for res in results:
-            hist = np.asarray(res.off2_history, dtype=float)
-            assert np.all(np.diff(hist) <= 0.0), "off2 history increased during a sweep"
-            JD_HISTORIES.append(hist)
-        return results
+        res = original(*args, **kwargs)
+        hist = np.asarray(res.off2_history, dtype=float)
+        assert np.all(np.diff(hist) <= 0.0), "off2 history increased during a sweep"
+        JD_HISTORIES.append(hist)
+        return res
 
-    patched = [jd_mod, modes_mod, contactmodes]
+    patched = [m for m in list(sys.modules.values()) if getattr(m, "__dict__", {}).get("joint_diagonalise") is original]
     for mod in patched:
-        mod.joint_diagonalise_sets = checked
+        mod.joint_diagonalise = checked
     yield
     for mod in patched:
-        mod.joint_diagonalise_sets = original
+        mod.joint_diagonalise = original
 
 
 @pytest.fixture(scope="session")

@@ -340,18 +340,17 @@ def test_repro_flags_non_convergence(tmp_path, capsys):
 
 def test_analyse_manifest_lists_files_when_a_mode_jd_fails(two_mode_batch_path, tmp_path, monkeypatch, capsys):
     n_trees = len(read_batch(two_mode_batch_path).samples)
-    original = modes_mod.joint_diagonalise_sets
+    original = modes_mod.joint_diagonalise
     failed = []
 
-    def per_mode_fails(batches, *args, **kwargs):
-        results = original(batches, *args, **kwargs)
-        for i, batch in enumerate(batches):
-            if len(batch.samples) < n_trees:
-                failed.append(len(batch.samples))
-                results[i] = replace(results[i], converged=False)
-        return results
+    def per_mode_fails(batch, *args, **kwargs):
+        result = original(batch, *args, **kwargs)
+        if len(batch.samples) < n_trees:
+            failed.append(len(batch.samples))
+            result = replace(result, converged=False)
+        return result
 
-    monkeypatch.setattr(modes_mod, "joint_diagonalise_sets", per_mode_fails)
+    monkeypatch.setattr(modes_mod, "joint_diagonalise", per_mode_fails)
     out = tmp_path / "a"
     code = _run("analyse", "--batch", str(two_mode_batch_path), "--k-max", "2", "--restarts", "2", "--out", str(out))
     assert code == 3

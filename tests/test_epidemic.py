@@ -50,6 +50,33 @@ def test_params_validation():
         SirParams(0.5, 80.0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("horizon", math.nan),
+        ("horizon", math.inf),
+        ("horizon", 2.5),
+        ("horizon", True),
+        ("start_step", math.nan),
+        ("start_step", 1.5),
+        ("start_step", False),
+    ],
+)
+def test_params_reject_steps_that_are_not_whole(field, value):
+    """A NaN, infinite, fractional or bool step count is refused up front;
+    a NaN or infinite horizon would otherwise fail deep in the simulation
+    and a fractional start step be truncated silently."""
+    steps = {"start_step": 0, "horizon": 10, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a whole number of steps"):
+        SirParams(0.5, 80.0, **steps)
+
+
+def test_params_keep_whole_float_steps_as_ints():
+    params = SirParams(0.5, 80.0, 3.0, np.int64(10))
+    assert (params.start_step, params.horizon) == (3, 10)
+    assert type(params.start_step) is int and type(params.horizon) is int
+
+
 def test_default_params_horizon_to_trace_end():
     net = _net([(0, 1, 0.0, 0.0), (1, 2, 499.0, 499.0)])
     p = default_params(net, start_step=250)

@@ -20,7 +20,6 @@ from contactmodes import (
     gen_random_contacts,
     gen_switching,
     joint_diagonalise,
-    joint_diagonalise_sets,
     off2,
     project,
     reconstruct_average,
@@ -307,7 +306,7 @@ def test_jd_rejects_malformed_limits(limits, message):
     sweep at all; both are rejected before any work."""
     mats = [SymMatrix.symmetrised(m) for m in derive_rng(19, "jd-limits").standard_normal((3, 4, 4))]
     with pytest.raises(ValueError, match=message):
-        joint_diagonalise_sets([mats], **limits)
+        joint_diagonalise(mats, **limits)
 
 
 def test_jd_runs_are_deterministic():
@@ -331,32 +330,24 @@ def test_jd_runs_are_deterministic():
 
 
 @pytest.mark.parametrize("max_sweeps", [3, 100])
-def test_jd_sets_match_their_lone_runs_bit_for_bit(max_sweeps):
-    """Sets swept in one call give their lone runs' results bit for bit: a
-    Gram-side and a dense-side batch, a diagonal stack that stops in its
-    first sweep, a dense stack that runs out of sweeps at max_sweeps = 3
-    beside sets that converge, and all-zero matrices with no sweep weights
-    (r = 0), all at the odd n = 7 where one column sits out every round."""
+def test_jd_lone_runs_stop_as_their_inputs_ask(max_sweeps):
+    """A Gram-side and a dense-side batch, a diagonal stack that stops in
+    its first sweep, a dense stack that runs out of sweeps at
+    max_sweeps = 3, and all-zero matrices with no sweep weights (r = 0),
+    all at the odd n = 7 where one column sits out every round."""
     rng = derive_rng(19, "jd-sets")
     dense = rng.standard_normal((9, 7, 7))
     dense = dense + dense.transpose(0, 2, 1)
-    sets = [
+    inputs = [
         sample_batch(_seven_node_graph(), 200, seed=7),
         sample_batch(_seven_node_graph(), 5, seed=8),
         np.stack([np.diag(rng.standard_normal(7)) for _ in range(4)]),
         dense,
         np.zeros((4, 7, 7)),
     ]
-    assert _is_compressed(sets[0]) and not _is_compressed(sets[1])
-    assert len(_sweep_stack(sets[4])) == 0
-    got = joint_diagonalise_sets(sets, tol=1e-12, max_sweeps=max_sweeps)
-    assert len(got) == len(sets)
-    for res, x in zip(got, sets):
-        lone = joint_diagonalise(x, tol=1e-12, max_sweeps=max_sweeps)
-        for name in ("avg_diag", "deviations", "off2_history"):
-            assert getattr(res, name).tobytes() == getattr(lone, name).tobytes(), name
-        assert res.basis.values.tobytes() == lone.basis.values.tobytes()
-        assert res.converged == lone.converged
+    assert _is_compressed(inputs[0]) and not _is_compressed(inputs[1])
+    assert len(_sweep_stack(inputs[4])) == 0
+    got = [joint_diagonalise(x, tol=1e-12, max_sweeps=max_sweeps) for x in inputs]
     # the diagonal stack records no sweep after its warm start
     assert got[2].converged and len(got[2].off2_history) == 2
     assert got[4].converged
@@ -364,9 +355,6 @@ def test_jd_sets_match_their_lone_runs_bit_for_bit(max_sweeps):
         assert not got[3].converged and len(got[3].off2_history) == 5
     else:
         assert all(res.converged for res in got)
-    assert joint_diagonalise_sets([]) == []
-    with pytest.raises(ValueError, match="same size"):
-        joint_diagonalise_sets([dense, np.zeros((2, 6, 6))])
 
 
 def test_jd_temporaries_stay_near_the_sweep_weights():

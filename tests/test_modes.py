@@ -29,7 +29,6 @@ from contactmodes import (
     select_modes,
     submode_decompose,
 )
-from contactmodes import jointdiag as jd_mod
 from contactmodes import modes as modes_mod
 from contactmodes.jointdiag import JdResult
 from contactmodes.modes import gamma_moment_fit, write_report
@@ -539,17 +538,15 @@ def test_decompose_stops_when_overall_jd_does_not_converge(monkeypatch):
 
 
 def _count_jd_calls(monkeypatch) -> list:
+    """The inputs of every joint diagonalisation that modes runs."""
     calls = []
-    original = jd_mod.joint_diagonalise_sets
+    original = modes_mod.joint_diagonalise
 
-    def counted(*args, **kwargs):
-        results = original(*args, **kwargs)
-        calls.extend(results)
-        return results
+    def counted(matrices, *args, **kwargs):
+        calls.append(matrices)
+        return original(matrices, *args, **kwargs)
 
-    # joint_diagonalise reaches the shared loop through jointdiag
-    monkeypatch.setattr(jd_mod, "joint_diagonalise_sets", counted)
-    monkeypatch.setattr(modes_mod, "joint_diagonalise_sets", counted)
+    monkeypatch.setattr(modes_mod, "joint_diagonalise", counted)
     return calls
 
 
@@ -622,9 +619,10 @@ def test_per_mode_reconstruction_single_sample_mode():
     assert np.array_equal(lone[0].matrix.values, batch.matrices()[12])
 
 
-def test_per_mode_reconstruction_names_the_lowest_failing_mode():
-    """The modes share one sweep loop; when two of them fail to converge,
-    the error names the lower one, with the whole-batch result."""
+def _three_modes():
+    """A batch of 13 trees on 6 nodes with a fixed three-mode model: mode 0
+    holds one tree, modes 1 and 2 six each; the whole batch's
+    diagonalisation converges at the default limits."""
     rng = derive_rng(3, "two-fail")
     samples = [_tree_sample({i: i - 1 for i in range(1, 6)})]
     for _ in range(12):
@@ -637,11 +635,31 @@ def test_per_mode_reconstruction_names_the_lowest_failing_mode():
     model = ModeModel(comps, labels, np.eye(3)[labels], bic=0.0, log_likelihood=0.0)
     overall = contactmodes.joint_diagonalise(batch)
     assert overall.converged
+    return batch, model, overall
+
+
+def test_per_mode_reconstruction_names_the_lowest_failing_mode():
+    """When two modes fail to converge, the error names the lower one,
+    with the whole-batch result."""
+    batch, model, overall = _three_modes()
     subsets = [batch.subset(model.members(j)) for j in (1, 2)]
-    assert not any(res.converged for res in contactmodes.joint_diagonalise_sets(subsets, tol=1e-30, max_sweeps=1))
+    assert not any(contactmodes.joint_diagonalise(sub, tol=1e-30, max_sweeps=1).converged for sub in subsets)
     with pytest.raises(ConvergenceError, match="of mode 1 did not converge") as info:
         per_mode_reconstruction(model, batch, overall=overall, tol=1e-30, max_sweeps=1)
     assert info.value.result is overall
+
+
+def test_per_mode_reconstruction_stops_at_the_first_failing_mode(monkeypatch):
+    """Mode 0 holds one tree and needs no diagonalisation; mode 1's cannot
+    converge at these limits, so the error names it and mode 2 is never
+    diagonalised."""
+    batch, model, overall = _three_modes()
+    calls = _count_jd_calls(monkeypatch)
+    with pytest.raises(ConvergenceError, match="of mode 1 did not converge") as info:
+        per_mode_reconstruction(model, batch, overall=overall, tol=1e-30, max_sweeps=1)
+    assert info.value.result is overall
+    assert len(calls) == 1
+    assert calls[0].samples == batch.subset(model.members(1)).samples
 
 
 def test_import_leaves_scipy_stats_unloaded():
