@@ -31,12 +31,18 @@ _BIG = np.iinfo(np.int64).max // 4
 # bytes of transmission masks held at once; a block of pairs holds as
 # many pairs as fit, and at least one
 _MASK_BUDGET = 1 << 22
+# the largest mean numpy's Poisson draw accepts, as numpy computes it
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
 class SirParams:
     """Per-contact transmission probability, mean infectious duration in
-    steps, epidemic start step, and number of simulated steps."""
+    steps, epidemic start step, and number of simulated steps.
+
+    A finite ``recovery_mean`` may be at most ``_POISSON_LAM_MAX`` (about
+    9.22e18), the largest mean numpy's Poisson draw takes; an infinite
+    one means no recovery."""
 
     p_transmit: float
     recovery_mean: float
@@ -48,6 +54,8 @@ class SirParams:
             raise ValueError("p_transmit must lie in [0, 1]")
         if not self.recovery_mean > 0:
             raise ValueError("recovery_mean must be positive")
+        if _POISSON_LAM_MAX < self.recovery_mean < math.inf:
+            raise ValueError(f"recovery_mean {self.recovery_mean} exceeds {_POISSON_LAM_MAX}, the largest Poisson mean")
         for name in ("start_step", "horizon"):
             value = getattr(self, name)
             # a bool, fractional or non-finite step would be truncated or

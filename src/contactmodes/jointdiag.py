@@ -833,7 +833,8 @@ def joint_diagonalise(
         the initial off2.  Where those steps find a degenerate minimum
         the set goes back to sweeping, and so does a set that stops at a
         saddle of off2 (a stop that gained less than 1.5e-8 times the
-        initial off2 is tested), after one step off it.
+        initial off2 is tested), after one step off it.  It must be
+        positive and finite.
     max_sweeps : limit on the sweeps and kept trust-region steps
         together; reaching it first returns ``converged=False``.
 
@@ -842,8 +843,8 @@ def joint_diagonalise(
     JdResult with columns of the basis ordered by decreasing average
     projected diagonal and signed so every column sums nonnegative.
     """
-    if not tol > 0:  # NaN fails too
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not max_sweeps >= 0:
         raise ValueError("max_sweeps must be nonnegative")
     state = _SweepSet(matrices)

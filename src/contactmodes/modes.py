@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._workers import fan_out
 from .errors import ConvergenceError, DataError
 from .jointdiag import JdResult, joint_diagonalise, reconstruct_average
 from .network import SymMatrix
@@ -275,11 +277,19 @@ def _restart_model(x: np.ndarray, k: int, fit: tuple, r: int) -> ModeModel:
     )
 
 
-def _check_em_limits(max_iter: int, tol: float) -> None:
-    """Reject an iteration cap or tolerance that EM cannot run on: a
+def _check_em_limits(max_iter: int, tol: float, k_max: int = 1, n_restarts: int = 1) -> None:
+    """Reject counts or a tolerance that EM cannot run on: a bool or
+    fractional count would be taken as 0 or 1 or fail inside ``range``, a
     negative cap skips every E-step, and a NaN or negative tol never
     stops a restart before the cap."""
-    if not max_iter >= 0:
+    for name, value in (("k_max", k_max), ("n_restarts", n_restarts), ("max_iter", max_iter)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    if n_restarts < 1:
+        raise ValueError("n_restarts must be at least 1")
+    if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     if not tol >= 0:  # NaN fails too
         raise ValueError(f"tol must be nonnegative, got {tol}")
@@ -318,6 +328,24 @@ def _restart_seed(seed: int, k: int, restart: int) -> int:
     return int(derive_seed_sequence(seed, "mode-restart", k, restart).generate_state(1)[0])
 
 
+def _fit_ks(x: np.ndarray, ks, seed: int, n_restarts: int, max_iter: int, tol: float) -> tuple:
+    """Fit the mixtures for ``ks`` in order, stopping at the first that
+    raises, and reduce them to the minimum (BIC, k, restart) key with its
+    model, plus each k's best BIC and M-step counts as
+    ``(key, model, [(k, bic), ...], [(k, counts), ...])``."""
+    best_key, best, table, iterations = None, None, [], []
+    for k in ks:
+        fit = _em_restarts(x, k, [_restart_seed(seed, k, r) for r in range(n_restarts)], max_iter, tol)
+        bics = _bic(k, len(x), fit[4])
+        r = int(np.argmin(bics))  # the lowest restart index on ties
+        bic = float(bics[r])
+        if best_key is None or (bic, k, r) < best_key:
+            best, best_key = _restart_model(x, k, fit, r), (bic, k, r)
+        table.append((k, bic))
+        iterations.append((k, tuple(int(i) for i in fit[5])))
+    return best_key, best, table, iterations
+
+
 def select_modes(
     deltas,
     k_max: int = 8,
@@ -329,38 +357,31 @@ def select_modes(
     """Fit mixtures for k = 1..k_max and keep the minimum-BIC model.
 
     Each k gets ``n_restarts`` independently seeded EM runs, fitted
-    together; the k are fitted one after another, and an error raised by
-    a fit is the lowest failing k's.  Ties are broken lexicographically
-    on (BIC, k, restart index) so the selection is deterministic.  k is
-    silently capped at the number of distinct values.  The returned
-    model carries the per-k best-BIC table and the M-step count of every
-    restart.
+    together.  The k >= 2 are fitted on up to one worker per usable CPU
+    (forked processes on Linux, the calling process alone elsewhere; see
+    :func:`contactmodes._workers.fan_out`), and each worker hands back
+    only its own best model.  The result does not depend on the worker
+    count, and an error raised by a fit is the lowest failing k's, raised
+    in the calling process.  Ties are broken lexicographically on (BIC,
+    k, restart index) so the selection is deterministic.  k is silently
+    capped at the number of distinct values.  The returned model carries
+    the per-k best-BIC table and the M-step count of every restart.
     """
+    _check_em_limits(max_iter, tol, k_max=k_max, n_restarts=n_restarts)
     x = np.asarray(deltas, dtype=float).ravel()
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if n_restarts < 1:
-        raise ValueError("n_restarts must be at least 1")
     if len(x) == 0:
         raise ValueError("need at least one sample")
     if not np.all(np.isfinite(x)):
         raise ValueError("deltas must be finite")
-    _check_em_limits(max_iter, tol)
     k_cap = min(k_max, int(np.unique(x).size), len(x))
-    best = _closed_form_k1(x)
-    best_key = (best.bic, 1, 0)
-    table = [(1, best.bic)]
-    iterations = []
-    for k in range(2, k_cap + 1):
-        fit = _em_restarts(x, k, [_restart_seed(seed, k, r) for r in range(n_restarts)], max_iter, tol)
-        bics = _bic(k, len(x), fit[4])
-        r = int(np.argmin(bics))  # the lowest restart index on ties
-        bic = float(bics[r])
-        if (bic, k, r) < best_key:
-            best, best_key = _restart_model(x, k, fit, r), (bic, k, r)
-        table.append((k, bic))
-        iterations.append((k, tuple(int(i) for i in fit[5])))
-    return replace(best, bic_table=tuple(table), em_iterations=tuple(iterations))
+    k1 = _closed_form_k1(x)
+    ks = list(range(2, k_cap + 1))
+    shares = [((k1.bic, 1, 0), k1, [(1, k1.bic)], [])]
+    shares += fan_out(lambda share: _fit_ks(x, share, seed, n_restarts, max_iter, tol), ks, costs=ks)
+    best = min(shares, key=lambda share: share[0])[1]
+    table = tuple(sorted(entry for share in shares for entry in share[2]))
+    iterations = tuple(sorted(entry for share in shares for entry in share[3]))
+    return replace(best, bic_table=table, em_iterations=iterations)
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,8 @@ def test_analyse_without_input_is_usage_error(tmp_path, capsys):
     "argv, message",
     [
         (["analyse", "--jd-tol", "nan"], "tol must be positive"),
+        (["analyse", "--jd-tol", "inf"], "tol must be positive and finite"),
+        (["sir", "--recovery-mean", "1e300"], "recovery_mean"),
         (["sample", "--granularity", "nan"], "granularity must be positive"),
         (["sample", "--horizon", "-5"], "horizon must be nonnegative"),
         (["analyse", "--bin-width", "inf"], "bin_width must be positive and finite"),
@@ -222,15 +224,17 @@ def test_analyse_without_input_is_usage_error(tmp_path, capsys):
         (["analyse", "--epsilon", "nan"], "epsilon must be nonnegative"),
         (["analyse", "--epsilon", "-1"], "epsilon must be nonnegative"),
     ],
-    ids=["jd-tol", "granularity", "horizon", "bin-width-inf", "bin-width-nan", "threshold-nan", "epsilon-nan",
-         "epsilon-negative"],
+    ids=["jd-tol", "jd-tol-inf", "recovery-mean-huge", "granularity", "horizon", "bin-width-inf", "bin-width-nan",
+         "threshold-nan", "epsilon-nan", "epsilon-negative"],
 )
 def test_malformed_numbers_are_data_errors(argv, message, synth_dir, two_mode_batch_path, tmp_path, capsys):
     # each would otherwise run on: NaN tol to max_sweeps and exit 3, an
-    # infinite bin width or a negative horizon to exit 0, a NaN bin width
-    # to numpy's NaN-to-integer error, a NaN threshold to the later
-    # "weights must be nonnegative", a NaN epsilon to exit 0 with empty
-    # shortest-path graphs and a negative one to a division by zero
+    # infinite tol to exit 0 after one sweep, a huge recovery mean to
+    # numpy's "lam value too large", an infinite bin width or a negative
+    # horizon to exit 0, a NaN bin width to numpy's NaN-to-integer error,
+    # a NaN threshold to the later "weights must be nonnegative", a NaN
+    # epsilon to exit 0 with empty shortest-path graphs and a negative one
+    # to a division by zero
     source = ["--batch", str(two_mode_batch_path)] if argv[0] == "analyse" else ["--trace", str(synth_dir / "trace.csv")]
     assert _run(*argv, *source, "--out", str(tmp_path / "o")) == 2
     assert message in capsys.readouterr().err

@@ -44,6 +44,8 @@ def test_params_validation():
         SirParams(1.5, 80.0, 0, 10)
     with pytest.raises(ValueError, match="recovery_mean"):
         SirParams(0.5, 0.0, 0, 10)
+    with pytest.raises(ValueError, match="recovery_mean"):
+        SirParams(0.5, 1e300, 0, 10)
     with pytest.raises(ValueError, match="start_step"):
         SirParams(0.5, 80.0, -1, 10)
     with pytest.raises(ValueError, match="horizon"):

@@ -296,14 +296,16 @@ def test_rotate_is_the_givens_update(n):
         ({"tol": 0.0}, "tol must be positive"),
         ({"tol": -1e-9}, "tol must be positive"),
         ({"tol": math.nan}, "tol must be positive"),
+        ({"tol": math.inf}, "tol must be positive and finite"),
         ({"max_sweeps": -1}, "max_sweeps must be nonnegative"),
     ],
-    ids=["tol-zero", "tol-negative", "tol-nan", "max-sweeps-negative"],
+    ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "max-sweeps-negative"],
 )
 def test_jd_rejects_malformed_limits(limits, message):
     """A tol that is not positive (NaN included) would run every sweep
-    and report a failure to converge, and a negative sweep count no
-    sweep at all; both are rejected before any work."""
+    and report a failure to converge, an infinite one report convergence
+    after one sweep, and a negative sweep count no sweep at all; all are
+    rejected before any work."""
     mats = [SymMatrix.symmetrised(m) for m in derive_rng(19, "jd-limits").standard_normal((3, 4, 4))]
     with pytest.raises(ValueError, match=message):
         joint_diagonalise(mats, **limits)

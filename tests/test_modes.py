@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from contactmodes import (
     select_modes,
     submode_decompose,
 )
+from contactmodes import _workers
 from contactmodes import modes as modes_mod
 from contactmodes.jointdiag import JdResult
 from contactmodes.modes import gamma_moment_fit, write_report
@@ -193,6 +195,27 @@ def test_select_modes_rejects_malformed_arguments(deltas, options, message):
         select_modes(np.array(deltas), **options)
 
 
+@pytest.mark.parametrize("value", [2.5, True], ids=["fractional", "bool"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        ("select_modes", "k_max"),
+        ("select_modes", "n_restarts"),
+        ("select_modes", "max_iter"),
+        ("decompose", "k_max"),
+        ("decompose", "n_restarts"),
+    ],
+)
+def test_em_counts_must_be_integers(call, name, value):
+    """A fractional count would fail inside ``range`` and a bool be taken
+    as 0 or 1; both are refused, naming the count."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        if call == "select_modes":
+            select_modes(_three_bumps(), **{name: value})
+        else:
+            decompose(_two_mode_batch(), **{name: value})
+
+
 def test_select_modes_deterministic():
     rng = derive_rng(4, "gmm")
     x = np.concatenate([rng.normal(0, 1, 60), rng.normal(8, 1, 60)])
@@ -338,8 +361,9 @@ def test_assign_is_the_direct_posterior_bit_for_bit():
 @pytest.mark.parametrize("cpus", [1, 8])
 def test_select_modes_raises_the_lowest_failing_k(monkeypatch, cpus):
     """An error raised in a k's fit leaves ``select_modes`` as the same
-    object, the lowest failing k's, and every fit runs on the calling
-    thread whatever CPU count the machine reports."""
+    object, the lowest failing k's, and no fit runs on another thread of
+    the calling process whatever CPU count the machine reports: the k
+    that do not run in the caller run in forked workers."""
     errors = {3: ConvergenceError("EM log-likelihood decreased"), 6: ConvergenceError("EM log-likelihood decreased")}
     real = modes_mod._em_restarts
     seen = set()
@@ -356,6 +380,120 @@ def test_select_modes_raises_the_lowest_failing_k(monkeypatch, cpus):
         select_modes(_three_bumps(), k_max=8, seed=2)
     assert exc.value is errors[3]
     assert seen == {threading.get_ident()}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _workers_sample():
+    rng = derive_rng(11, "em-workers")
+    return np.concatenate([rng.normal(0.0, 1.0, 300), rng.normal(5.0, 0.8, 200), rng.normal(11.0, 2.0, 250)])
+
+
+def test_select_modes_is_the_same_for_every_worker_count(monkeypatch):
+    """The k fitted in forked workers give the one-worker model bit for
+    bit, with one fork per worker beside the caller, and the caller fits
+    only its own share: the k split longest processing time first."""
+    x = _workers_sample()
+    real_fork, real_fit = os.fork, modes_mod._em_restarts
+    forks, fitted = [], []  # a forked child appends to its own copies
+
+    def counted_fork():
+        forks.append(None)
+        return real_fork()
+
+    def recorded_fit(x, k, *args):
+        fitted.append(k)
+        return real_fit(x, k, *args)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(modes_mod, "_em_restarts", recorded_fit)
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: 1)
+    want = select_modes(x, k_max=8, seed=5)
+    assert not forks and fitted == [2, 3, 4, 5, 6, 7, 8]
+    for cpus, share in ((2, [4, 5, 8]), (3, [2, 3, 8]), (7, [8])):
+        monkeypatch.setattr(_workers, "usable_cpus", lambda cpus=cpus: cpus)
+        forks.clear()
+        fitted.clear()
+        _same_model(select_modes(x, k_max=8, seed=5), want)
+        assert len(forks) == cpus - 1 and fitted == share
+        _no_child_left()
+
+
+@pytest.mark.parametrize("failing", [None, "caller", "worker", "fork"])
+def test_select_modes_leaves_no_child(monkeypatch, failing):
+    """Every forked worker is reaped whether the call returns or raises.
+    A worker's failed share, and the share of a worker that could not be
+    forked, are fitted again in the caller to the same model."""
+    x = _workers_sample()
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: 1)
+    want = select_modes(x, k_max=8, seed=5)
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: 3)
+    caller = os.getpid()
+    real = modes_mod._em_restarts
+
+    def fit(x, k, *args):
+        in_caller = os.getpid() == caller
+        if failing == "caller" and in_caller or failing == "worker" and not in_caller:
+            raise ConvergenceError("EM log-likelihood decreased")
+        return real(x, k, *args)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(modes_mod, "_em_restarts", fit)
+    if failing == "fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    if failing == "caller":
+        with pytest.raises(ConvergenceError):
+            select_modes(x, k_max=8, seed=5)
+    else:
+        _same_model(select_modes(x, k_max=8, seed=5), want)
+    _no_child_left()
+
+
+def test_a_worker_error_below_the_callers_is_raised(monkeypatch):
+    """The caller's own failing share waits for the workers, so a lower
+    failing k in a worker's share is the one raised."""
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)  # the caller fits k = 4, 5 and 8
+    errors = {3: ConvergenceError("EM log-likelihood decreased"), 8: ConvergenceError("EM log-likelihood decreased")}
+    real = modes_mod._em_restarts
+
+    def failing(x, k, *args):
+        if k in errors:
+            raise errors[k]
+        return real(x, k, *args)
+
+    monkeypatch.setattr(modes_mod, "_em_restarts", failing)
+    with pytest.raises(ConvergenceError) as exc:
+        select_modes(_workers_sample(), k_max=8, seed=5)
+    assert exc.value is errors[3]
+    _no_child_left()
+
+
+def test_a_warning_in_a_worker_reaches_the_caller(monkeypatch):
+    """A worker's fit that warns is fitted again in the caller, so the
+    warning is the caller's, once, and an error where warnings are."""
+    x = _workers_sample()
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: 7)  # the caller fits k = 8 alone
+    real = modes_mod._em_restarts
+
+    def fit(x, k, *args):
+        if k == 3:
+            warnings.warn("overflow in the k = 3 fit", RuntimeWarning)
+        return real(x, k, *args)
+
+    monkeypatch.setattr(modes_mod, "_em_restarts", fit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="k = 3"):
+            select_modes(x, k_max=8, seed=5)
+    with pytest.warns(RuntimeWarning, match="k = 3") as caught:
+        select_modes(x, k_max=8, seed=5)
+    assert len(caught) == 1
+    _no_child_left()
 
 
 # a sample on a 0.1 grid whose k = 5 fit meets a rounding tie in the
